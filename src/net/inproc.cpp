@@ -1,9 +1,17 @@
 #include "net/inproc.hpp"
 
+#include <string>
+
 namespace privtopk::net {
 
 namespace {
 const obs::Labels kInProcLabels{{"transport", "inproc"}};
+
+[[noreturn]] void failSend(obs::Counter& sendErrors,
+                           const std::string& reason) {
+  sendErrors.inc();
+  throw TransportError("InProcTransport: " + reason);
+}
 }  // namespace
 
 InProcTransport::InProcTransport(std::size_t nodeCount,
@@ -21,85 +29,86 @@ InProcTransport::InProcTransport(std::size_t nodeCount,
           obs::counter("privtopk.transport.send_errors", kInProcLabels)),
       metricReceiveTimeouts_(
           obs::counter("privtopk.transport.receive_timeouts", kInProcLabels)),
+      metricOverloadRejected_(
+          obs::counter("privtopk.transport.overload_rejected", kInProcLabels)),
       metricQueueDepth_(
           obs::gauge("privtopk.transport.queue_depth", kInProcLabels)) {}
 
 void InProcTransport::send(NodeId from, NodeId to, const Bytes& payload) {
-  std::unique_lock lock(mutex_);
-  if (shutdown_) {
-    metricSendErrors_.inc();
-    throw TransportError("InProcTransport: shut down");
-  }
+  if (shutdown_.load()) failSend(metricSendErrors_, "shut down");
   if (to >= mailboxes_.size()) {
-    metricSendErrors_.inc();
-    throw TransportError("InProcTransport: unknown destination " +
-                         std::to_string(to));
+    failSend(metricSendErrors_, "unknown destination " + std::to_string(to));
   }
-  if (maxQueueDepth_ > 0 && mailboxes_[to].queue.size() >= maxQueueDepth_) {
-    throw OverloadError("InProcTransport: mailbox " + std::to_string(to) +
-                            " is full (" +
-                            std::to_string(mailboxes_[to].queue.size()) +
-                            " envelopes)",
-                        std::chrono::milliseconds(1));
+  Envelope env{from, to, payload};  // copy outside the mailbox lock
+  Mailbox& box = mailboxes_[to];
+  {
+    const std::lock_guard lock(box.mutex);
+    // Checked again under the lock: shutdown() raises the flag before it
+    // drains each mailbox under that mailbox's lock, so nothing can land
+    // behind the drain.
+    if (shutdown_.load()) failSend(metricSendErrors_, "shut down");
+    if (maxQueueDepth_ > 0 && box.queue.size() >= maxQueueDepth_) {
+      metricOverloadRejected_.inc();
+      throw OverloadError("InProcTransport: mailbox " + std::to_string(to) +
+                              " is full (" + std::to_string(box.queue.size()) +
+                              " envelopes)",
+                          std::chrono::milliseconds(1));
+    }
+    box.queue.push_back(std::move(env));
+    metricQueueDepth_.add(1);
   }
-  mailboxes_[to].queue.push_back(Envelope{from, to, payload});
-  ++messagesSent_;
-  bytesSent_ += payload.size();
+  box.cv.notify_one();
+  messagesSent_.fetch_add(1);
+  bytesSent_.fetch_add(payload.size());
   metricMessagesSent_.inc();
   metricBytesSent_.inc(payload.size());
-  metricQueueDepth_.add(1);
-  cv_.notify_all();
 }
 
 std::optional<Envelope> InProcTransport::receive(
     NodeId node, std::chrono::milliseconds timeout) {
-  std::unique_lock lock(mutex_);
   if (node >= mailboxes_.size()) {
     throw TransportError("InProcTransport: unknown node " +
                          std::to_string(node));
   }
-  auto& box = mailboxes_[node];
-  const bool ready = cv_.wait_for(lock, timeout, [&] {
-    return shutdown_ || !box.queue.empty();
+  Mailbox& box = mailboxes_[node];
+  std::unique_lock lock(box.mutex);
+  const bool ready = box.cv.wait_for(lock, timeout, [&] {
+    return shutdown_.load() || !box.queue.empty();
   });
   if (!ready || box.queue.empty()) {
-    metricReceiveTimeouts_.inc();
+    // A shutdown wakeup is not a timeout; only count real deadline misses.
+    if (!shutdown_.load()) metricReceiveTimeouts_.inc();
     return std::nullopt;
   }
   Envelope env = std::move(box.queue.front());
   box.queue.pop_front();
   metricQueueDepth_.sub(1);
+  lock.unlock();
   metricMessagesReceived_.inc();
   metricBytesReceived_.inc(env.payload.size());
   return env;
 }
 
 void InProcTransport::shutdown() {
-  std::unique_lock lock(mutex_);
-  if (!shutdown_) {
-    // Give discarded envelopes' contribution back to the shared gauge so
-    // a transport restarted in the same process starts from level.
-    std::size_t undelivered = 0;
-    for (auto& box : mailboxes_) {
-      undelivered += box.queue.size();
-      box.queue.clear();
+  if (shutdown_.exchange(true)) return;
+  for (Mailbox& box : mailboxes_) {
+    {
+      const std::lock_guard lock(box.mutex);
+      // Give discarded envelopes' contribution back to the shared gauge so
+      // a transport restarted in the same process starts from level.
+      if (!box.queue.empty()) {
+        metricQueueDepth_.sub(static_cast<std::int64_t>(box.queue.size()));
+        box.queue.clear();
+      }
     }
-    if (undelivered > 0) {
-      metricQueueDepth_.sub(static_cast<std::int64_t>(undelivered));
-    }
+    box.cv.notify_all();
   }
-  shutdown_ = true;
-  cv_.notify_all();
 }
 
 std::size_t InProcTransport::messagesSent() const {
-  std::unique_lock lock(mutex_);
-  return messagesSent_;
+  return messagesSent_.load();
 }
 
-std::size_t InProcTransport::bytesSent() const {
-  std::unique_lock lock(mutex_);
-  return bytesSent_;
-}
+std::size_t InProcTransport::bytesSent() const { return bytesSent_.load(); }
 
 }  // namespace privtopk::net

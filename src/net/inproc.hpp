@@ -1,11 +1,15 @@
-// In-process transport: per-node FIFO mailboxes guarded by a mutex and
-// condition variable.  Delivery is instantaneous and ordered per sender.
-// An optional per-mailbox depth cap turns a send to a saturated node into
-// OverloadError, matching the TCP transport's write-queue backpressure so
-// the transport-conformance suite can exercise both the same way.
+// In-process transport: one FIFO mailbox per node, each with its own mutex
+// and condition variable.  A send locks only the destination mailbox and
+// wakes only its addressee, so traffic to one node never stalls or wakes
+// the receivers of the others.  Delivery is instantaneous and ordered per
+// sender.  An optional per-mailbox depth cap turns a send to a saturated
+// node into OverloadError, matching the TCP transport's write-queue
+// backpressure so the transport-conformance suite can exercise both the
+// same way.
 
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -40,16 +44,16 @@ class InProcTransport final : public Transport {
 
  private:
   struct Mailbox {
+    std::mutex mutex;
+    std::condition_variable cv;
     std::deque<Envelope> queue;
   };
 
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
   std::vector<Mailbox> mailboxes_;
   std::size_t maxQueueDepth_ = 0;
-  bool shutdown_ = false;
-  std::size_t messagesSent_ = 0;
-  std::size_t bytesSent_ = 0;
+  std::atomic<bool> shutdown_{false};
+  std::atomic<std::size_t> messagesSent_{0};
+  std::atomic<std::size_t> bytesSent_{0};
 
   // Cached global-metric cells (registration is cold; inc is lock-free).
   obs::Counter& metricMessagesSent_;
@@ -58,6 +62,7 @@ class InProcTransport final : public Transport {
   obs::Counter& metricBytesReceived_;
   obs::Counter& metricSendErrors_;
   obs::Counter& metricReceiveTimeouts_;
+  obs::Counter& metricOverloadRejected_;
   obs::Gauge& metricQueueDepth_;
 };
 

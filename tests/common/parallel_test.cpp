@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <latch>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace privtopk {
@@ -39,16 +41,38 @@ TEST(ParallelFor, ZeroThreadsRunsInline) {
 }
 
 TEST(ParallelFor, PropagatesFirstException) {
+  // Iterations from 37 on wait on a latch until the failing worker has
+  // recorded its error, so the early stop does not depend on how fast the
+  // other workers drain trivial indices while the throw unwinds.  The
+  // failing worker releases the latch from a thread-exit hook, which runs
+  // only after parallelFor caught the throw and parked the shared counter.
+  // It must therefore be a pool thread: the calling thread never exits
+  // and, after its own failure, would join the waiting workers forever.
+  struct ReleaseAtThreadExit {
+    std::latch& latch;
+    ~ReleaseAtThreadExit() { latch.count_down(); }
+  };
+  constexpr std::size_t kFailAt = 37;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::latch recorded(1);
+  std::atomic<bool> failed{false};
   std::atomic<int> calls{0};
   EXPECT_THROW(
       parallelFor(4, 1000,
                   [&](std::size_t i) {
                     calls.fetch_add(1);
-                    if (i == 37) throw std::runtime_error("boom");
+                    if (i < kFailAt) return;
+                    if (std::this_thread::get_id() != caller &&
+                        !failed.exchange(true)) {
+                      thread_local ReleaseAtThreadExit release{recorded};
+                      throw std::runtime_error("boom");
+                    }
+                    recorded.wait();
                   }),
       std::runtime_error);
   // The failing iteration parks the shared counter, so the fan-out stops
-  // well before draining all 1000 indices.
+  // well before draining all 1000 indices: from index 37 on, each of the
+  // four workers runs at most one iteration.
   EXPECT_LT(calls.load(), 1000);
 }
 

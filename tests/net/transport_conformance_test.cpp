@@ -20,6 +20,7 @@
 #include "net/inproc.hpp"
 #include "net/shaping.hpp"
 #include "net/tcp.hpp"
+#include "obs/metrics.hpp"
 
 namespace privtopk::net {
 namespace {
@@ -139,6 +140,9 @@ TEST_P(TransportConformance, SaturationSurfacesOverloadAndRecovers) {
   // Large frames so the TCP reactor cannot outrun the sender through the
   // shrunken socket buffer; small enough that inproc copies stay cheap.
   const Bytes big(256 * 1024, 0xAB);
+  auto& inprocRejected = obs::counter("privtopk.transport.overload_rejected",
+                                      {{"transport", "inproc"}});
+  const std::uint64_t rejectedBefore = inprocRejected.value();
 
   bool overloaded = false;
   int accepted = 0;
@@ -151,6 +155,10 @@ TEST_P(TransportConformance, SaturationSurfacesOverloadAndRecovers) {
     }
   }
   EXPECT_TRUE(overloaded) << "no backpressure after 200 sends";
+  if (variant() == "inproc") {
+    // The full mailbox is counted where it rejects, like TCP's write queue.
+    EXPECT_GT(inprocRejected.value(), rejectedBefore);
+  }
 
   // Backpressure is not link death: draining the receiver unsticks the
   // link and later sends succeed.

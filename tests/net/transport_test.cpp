@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "net/inproc.hpp"
 #include "net/tcp.hpp"
+#include "obs/metrics.hpp"
 
 namespace privtopk::net {
 namespace {
@@ -31,10 +34,14 @@ TEST(InProcTransport, DeliversInOrder) {
 }
 
 TEST(InProcTransport, TimeoutReturnsNullopt) {
+  auto& timeouts = obs::counter("privtopk.transport.receive_timeouts",
+                                {{"transport", "inproc"}});
   InProcTransport t(2);
+  const std::uint64_t before = timeouts.value();
   const auto start = std::chrono::steady_clock::now();
   EXPECT_EQ(t.receive(0, 30ms), std::nullopt);
   EXPECT_GE(std::chrono::steady_clock::now() - start, 25ms);
+  EXPECT_EQ(timeouts.value(), before + 1);
 }
 
 TEST(InProcTransport, SeparateMailboxes) {
@@ -66,17 +73,28 @@ TEST(InProcTransport, CrossThreadDelivery) {
   EXPECT_EQ(received, 100);
 }
 
+// Receivers blocked on every mailbox wake at shutdown, long before their
+// deadline, and a shutdown wakeup is not counted as a receive timeout.
 TEST(InProcTransport, ShutdownWakesReceivers) {
-  InProcTransport t(2);
-  std::atomic<bool> woke{false};
-  std::thread blocked([&] {
-    (void)t.receive(1, 10s);
-    woke = true;
-  });
+  constexpr std::size_t kNodes = 9;
+  auto& timeouts = obs::counter("privtopk.transport.receive_timeouts",
+                                {{"transport", "inproc"}});
+  InProcTransport t(kNodes);
+  std::atomic<int> woke{0};
+  std::vector<std::thread> blocked;
+  for (NodeId n = 0; n < kNodes; ++n) {
+    blocked.emplace_back([&, n] {
+      if (!t.receive(n, 10s)) woke.fetch_add(1);
+    });
+  }
   std::this_thread::sleep_for(50ms);
+  const std::uint64_t timeoutsBefore = timeouts.value();
+  const auto start = std::chrono::steady_clock::now();
   t.shutdown();
-  blocked.join();
-  EXPECT_TRUE(woke);
+  for (auto& th : blocked) th.join();
+  EXPECT_EQ(woke.load(), static_cast<int>(kNodes));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 5s);
+  EXPECT_EQ(timeouts.value(), timeoutsBefore);
   EXPECT_THROW(t.send(0, 1, bytesOf("x")), TransportError);
 }
 
@@ -86,6 +104,94 @@ TEST(InProcTransport, CountsMessagesAndBytes) {
   t.send(1, 0, bytesOf("123"));
   EXPECT_EQ(t.messagesSent(), 2u);
   EXPECT_EQ(t.bytesSent(), 8u);
+}
+
+// Every node sends to every node (itself included) while every node
+// receives: per-link FIFO, exact totals, and the shared queue-depth gauge
+// back at its starting level once the mailboxes are drained.
+TEST(InProcTransport, ConcurrentSendersAndReceiversOnEveryMailbox) {
+  constexpr std::size_t kNodes = 9;
+  constexpr int kPerLink = 200;
+  auto& depth = obs::gauge("privtopk.transport.queue_depth",
+                           {{"transport", "inproc"}});
+  const std::int64_t depthBefore = depth.value();
+  InProcTransport t(kNodes);
+
+  std::atomic<std::size_t> bytesOffered{0};
+  std::vector<std::thread> threads;
+  for (std::size_t s = 0; s < kNodes; ++s) {
+    threads.emplace_back([&, s] {
+      for (int seq = 0; seq < kPerLink; ++seq) {
+        for (std::size_t d = 0; d < kNodes; ++d) {
+          const Bytes payload = bytesOf(std::to_string(seq));
+          t.send(static_cast<NodeId>(s), static_cast<NodeId>(d), payload);
+          bytesOffered.fetch_add(payload.size());
+        }
+      }
+    });
+  }
+  // next[d][s]: the sequence number node d expects next from node s.
+  std::vector<std::vector<int>> next(kNodes, std::vector<int>(kNodes, 0));
+  std::vector<int> outOfOrder(kNodes, 0);
+  for (std::size_t d = 0; d < kNodes; ++d) {
+    threads.emplace_back([&, d] {
+      for (std::size_t n = 0; n < kNodes * kPerLink; ++n) {
+        const auto env = t.receive(static_cast<NodeId>(d), 5000ms);
+        if (!env) return;  // the count check below reports the shortfall
+        const std::string body(env->payload.begin(), env->payload.end());
+        if (env->to != d || body != std::to_string(next[d][env->from]++)) {
+          ++outOfOrder[d];
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (std::size_t d = 0; d < kNodes; ++d) {
+    EXPECT_EQ(outOfOrder[d], 0) << "node " << d;
+    for (std::size_t s = 0; s < kNodes; ++s) {
+      EXPECT_EQ(next[d][s], kPerLink) << "link " << s << "->" << d;
+    }
+  }
+  EXPECT_EQ(t.messagesSent(), kNodes * kNodes * kPerLink);
+  EXPECT_EQ(t.bytesSent(), bytesOffered.load());
+  EXPECT_EQ(depth.value(), depthBefore);
+}
+
+// A receiver on an empty mailbox keeps its own deadline while the other
+// eight mailboxes are flooded and drained.  The flood is bounded by the
+// mailbox cap so a slow drain cannot grow the queues without limit.
+TEST(InProcTransport, IdleReceiverTimesOutWhileOthersAreFlooded) {
+  constexpr std::size_t kNodes = 9;
+  InProcTransport t(kNodes, /*maxQueueDepth=*/256);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (NodeId d = 1; d < kNodes; ++d) {
+    threads.emplace_back([&, d] {
+      const Bytes payload = bytesOf("flood");
+      while (!stop.load()) {
+        try {
+          t.send(0, d, payload);
+        } catch (const OverloadError&) {
+          std::this_thread::yield();
+        }
+      }
+    });
+    threads.emplace_back([&, d] {
+      while (!stop.load()) (void)t.receive(d, 10ms);
+    });
+  }
+
+  const auto start = std::chrono::steady_clock::now();
+  const auto env = t.receive(0, 100ms);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  stop = true;
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(env, std::nullopt);
+  EXPECT_GE(waited, 95ms);
+  EXPECT_LT(waited, 5s);
+  EXPECT_GT(t.messagesSent(), 0u);
 }
 
 // ---------------------------------------------------------------------------

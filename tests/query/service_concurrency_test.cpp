@@ -186,11 +186,18 @@ TEST(ServiceConcurrencySoak, DroppedResultAnnouncementRepliesFromCompleted) {
   ASSERT_EQ(future.wait_for(10s), std::future_status::ready);
   const auto values = data::fleetValues(soak.dbs, "sales", "revenue");
   EXPECT_EQ(future.get(), data::trueTopK(values, 3));
+
+  // The drop on 1->2 happens one hop after the initiator's future
+  // resolves, when node 1 forwards the result; wait for it.
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (soak.faulty->dropsInjected() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(5ms);
+  }
   EXPECT_EQ(soak.faulty->dropsInjected(), 1u);
 
   // Recovery cascades backwards one retransmit period per stranded node
   // (each peer's replay comes from its just-completed successor).
-  const auto deadline = std::chrono::steady_clock::now() + 10s;
   for (auto& service : soak.services) {
     while (service->activeQueries() != 0 &&
            std::chrono::steady_clock::now() < deadline) {
