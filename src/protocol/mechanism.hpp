@@ -2,7 +2,7 @@
 // shapes its per-round contribution and which ring ordering each round
 // rides on.  protocol::core::Participant owns a mechanism instance and
 // consults it for the round budget, the LocalAlgorithm and the per-round
-// ring order; the four execution engines stay mechanism-agnostic.
+// ring order; the three execution engines stay mechanism-agnostic.
 //
 // Three implementations ship (docs/PRIVACY.md has the threat models):
 //

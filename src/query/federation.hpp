@@ -6,7 +6,8 @@
 //   * Federation::execute - in-process simulation across a set of
 //     databases (experiments, tests, the CLI's `query` subcommand);
 //   * LocalParty::localInput / presentResult - the per-participant pieces
-//     a distributed deployment needs around DistributedParticipant.
+//     a distributed deployment needs around the protocol core (NodeService
+//     uses them for every query it serves).
 
 #pragma once
 

@@ -465,6 +465,7 @@ void NodeService::queueSend(QueryState& state, const net::Message& message,
     state.announceWire = state.lastMessage;
   }
   state.lastActivity = std::chrono::steady_clock::now();
+  state.sendFailures = 0;
   out.push_back(
       Outbound{state.descriptor.queryId, state.lastMessage, 0, false});
 }
@@ -498,10 +499,10 @@ void NodeService::flushOutbound(std::vector<Outbound>& out) {
         succ = successorFor(it->second);
       }
       try {
+        // Success only means the transport queued the frame (a reactor
+        // transport reports a refused connect on a LATER send), so it
+        // does not reset sendFailures; a new message does (queueSend).
         transport_->send(self_, succ, item.wire);
-        std::scoped_lock lock(mutex_);
-        const auto it = active_.find(item.queryId);
-        if (it != active_.end()) it->second.sendFailures = 0;
         break;
       } catch (const OverloadError& e) {
         // The successor's write queue is full.  That is congestion, not

@@ -1,8 +1,9 @@
-// NodeService: a long-running participant daemon.
+// NodeService: a long-running participant daemon, and the only driver of
+// protocol::core that runs over a net::Transport.
 //
-// The blocking protocol::DistributedParticipant serves exactly one query.
-// A real organization instead runs one service bound to its private
-// database and its transport endpoint; the service
+// A real organization runs one service bound to its private database and
+// its transport endpoint (`privtopk node` runs one per process); the
+// service
 //
 //   * answers QueryAnnounce messages by building the protocol state for
 //     the announced query from the LOCAL database (schema-validated) and
@@ -96,8 +97,9 @@ struct ServiceOptions {
   /// last outbound message (announce + token) retransmitted.  0 disables
   /// retransmission (pre-robustness behaviour).
   std::chrono::milliseconds retransmitAfter{1'000};
-  /// Consecutive send failures to the current successor before it is
-  /// declared dead and spliced out of the ring.
+  /// Failed sends of the same outbound message (first send plus
+  /// retransmissions) to the current successor before it is declared dead
+  /// and spliced out of the ring.
   int deadAfterFailures = 3;
   /// Bound on the completed-result cache; the oldest entries are evicted
   /// first (a long-running daemon must not leak one entry per query
@@ -291,7 +293,8 @@ class NodeService {
     // Last send or processed receive for this query; drives the
     // retransmission deadline.
     std::chrono::steady_clock::time_point lastActivity;
-    // Consecutive send failures to the current successor.
+    // Failed sends to the current successor since this node last emitted
+    // a new message (retransmissions of the same message accumulate).
     int sendFailures = 0;
     // Duplicate suppression for the single secure-sum pass (the ring path
     // suppresses duplicates inside the core participant).

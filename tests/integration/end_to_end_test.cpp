@@ -1,85 +1,121 @@
-// End-to-end integration: the full distributed protocol over real
-// transports (in-process queues and TCP sockets, plaintext and encrypted),
-// plus cross-engine consistency checks.
+// End-to-end integration: the full distributed protocol, one NodeService
+// per party, over real transports (in-process queues and TCP sockets,
+// plaintext and encrypted), plus cross-engine consistency checks.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <future>
+#include <chrono>
+#include <memory>
 #include <numeric>
 
 #include "crypto/secure_channel.hpp"
 #include "data/generator.hpp"
 #include "net/inproc.hpp"
 #include "net/tcp.hpp"
-#include "protocol/engine.hpp"
 #include "protocol/runner.hpp"
 #include "protocol/sim_engine.hpp"
+#include "query/service.hpp"
 
-namespace privtopk {
+namespace privtopk::query {
 namespace {
 
 using namespace std::chrono_literals;
-using protocol::DistributedConfig;
 using protocol::ProtocolKind;
-using protocol::ProtocolParams;
-using protocol::runDistributedQuery;
-using protocol::runSimulatedQuery;
 
-std::vector<TopKVector> localTopKs(const std::vector<std::vector<Value>>& raw,
-                                   std::size_t k) {
-  std::vector<TopKVector> out;
-  for (const auto& values : raw) {
-    TopKVector v = values;
-    std::sort(v.begin(), v.end(), std::greater<>());
-    v.resize(std::min(k, v.size()));
-    out.push_back(v);
+// One single-column database per value set, so a test can pin each
+// party's private values exactly.
+std::vector<data::PrivateDatabase> databasesOf(
+    const std::vector<std::vector<Value>>& values) {
+  std::vector<data::PrivateDatabase> dbs;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    data::Table table(data::Schema({{"revenue", data::ColumnType::Int}}));
+    for (const Value v : values[i]) table.appendRow({data::Cell{v}});
+    dbs.emplace_back("party" + std::to_string(i));
+    dbs.back().addTable("sales", std::move(table));
   }
-  return out;
+  return dbs;
 }
 
-DistributedConfig makeConfig(std::size_t n, std::size_t k, Rng& rng) {
-  DistributedConfig cfg;
-  cfg.queryId = 77;
-  cfg.params.k = k;
-  cfg.params.rounds = 10;
-  cfg.ringOrder.resize(n);
-  std::iota(cfg.ringOrder.begin(), cfg.ringOrder.end(), NodeId{0});
-  rng.shuffle(cfg.ringOrder);
-  return cfg;
+QueryDescriptor descriptor(std::uint64_t id, std::size_t k,
+                           QueryType type = QueryType::TopK) {
+  QueryDescriptor d;
+  d.queryId = id;
+  d.type = type;
+  d.tableName = "sales";
+  d.attribute = "revenue";
+  d.params.k = k;
+  d.params.rounds = 10;
+  return d;
+}
+
+// A random ring order; its first node initiates.
+std::vector<NodeId> shuffledRing(std::size_t n, Rng& rng) {
+  std::vector<NodeId> ring(n);
+  std::iota(ring.begin(), ring.end(), NodeId{0});
+  rng.shuffle(ring);
+  return ring;
+}
+
+// Starts one NodeService per database on `transports[i]`, runs `d` from
+// ring.front() and checks that every party learns the initiator's answer.
+TopKVector runOnServices(const std::vector<data::PrivateDatabase>& dbs,
+                         const std::vector<net::Transport*>& transports,
+                         const QueryDescriptor& d,
+                         const std::vector<NodeId>& ring, std::uint64_t seed) {
+  std::vector<std::unique_ptr<NodeService>> services;
+  for (std::size_t i = 0; i < dbs.size(); ++i) {
+    services.push_back(std::make_unique<NodeService>(
+        static_cast<NodeId>(i), dbs[i], *transports[i], seed + i));
+    services.back()->start();
+  }
+  TopKVector result;
+  auto future = services[ring.front()]->initiate(d, ring);
+  if (future.wait_for(10s) != std::future_status::ready) {
+    ADD_FAILURE() << "initiator " << ring.front() << " never completed";
+  } else {
+    result = future.get();
+    for (std::size_t i = 0; i < services.size(); ++i) {
+      EXPECT_EQ(services[i]->waitFor(d.queryId, 10'000ms), result)
+          << "node " << i << " disagrees";
+    }
+  }
+  for (auto& s : services) s->stop();
+  return result;
+}
+
+TopKVector runOverInProc(const std::vector<data::PrivateDatabase>& dbs,
+                         const QueryDescriptor& d, Rng& rng) {
+  net::InProcTransport transport(dbs.size());
+  const std::vector<net::Transport*> transports(dbs.size(), &transport);
+  const TopKVector result = runOnServices(
+      dbs, transports, d, shuffledRing(dbs.size(), rng), rng.engine()());
+  transport.shutdown();
+  return result;
 }
 
 TEST(EndToEnd, DistributedMaxOverInProcTransport) {
-  const std::vector<std::vector<Value>> values = {{30}, {10}, {40}, {20}};
-  net::InProcTransport transport(4);
+  const auto dbs = databasesOf({{30}, {10}, {40}, {20}});
   Rng rng(1);
-  DistributedConfig cfg = makeConfig(4, 1, rng);
-  const TopKVector result =
-      runDistributedQuery(localTopKs(values, 1), transport, cfg, rng);
-  EXPECT_EQ(result, (TopKVector{40}));
+  EXPECT_EQ(runOverInProc(dbs, descriptor(77, 1, QueryType::Max), rng),
+            (TopKVector{40}));
 }
 
 TEST(EndToEnd, DistributedTopKOverInProcTransport) {
   data::UniformDistribution dist;
   Rng dataRng(2);
   const auto values = data::generateValueSets(6, 10, dist, dataRng);
-  net::InProcTransport transport(6);
   Rng rng(3);
-  DistributedConfig cfg = makeConfig(6, 4, rng);
-  const TopKVector result =
-      runDistributedQuery(localTopKs(values, 4), transport, cfg, rng);
-  EXPECT_EQ(result, data::trueTopK(values, 4));
+  EXPECT_EQ(runOverInProc(databasesOf(values), descriptor(77, 4), rng),
+            data::trueTopK(values, 4));
 }
 
 TEST(EndToEnd, DistributedNaiveProtocol) {
-  const std::vector<std::vector<Value>> values = {{3, 1}, {9, 2}, {7, 8}};
-  net::InProcTransport transport(3);
+  const auto dbs = databasesOf({{3, 1}, {9, 2}, {7, 8}});
+  QueryDescriptor d = descriptor(77, 2);
+  d.kind = ProtocolKind::Naive;
   Rng rng(4);
-  DistributedConfig cfg = makeConfig(3, 2, rng);
-  cfg.kind = ProtocolKind::Naive;
-  const TopKVector result =
-      runDistributedQuery(localTopKs(values, 2), transport, cfg, rng);
-  EXPECT_EQ(result, (TopKVector{9, 8}));
+  EXPECT_EQ(runOverInProc(dbs, d, rng), (TopKVector{9, 8}));
 }
 
 TEST(EndToEnd, ManyQueriesBackToBack) {
@@ -88,10 +124,8 @@ TEST(EndToEnd, ManyQueriesBackToBack) {
   Rng rng(6);
   for (int q = 0; q < 5; ++q) {
     const auto values = data::generateValueSets(4, 5, dist, dataRng);
-    net::InProcTransport transport(4);
-    DistributedConfig cfg = makeConfig(4, 2, rng);
-    cfg.queryId = static_cast<std::uint64_t>(q + 1);
-    EXPECT_EQ(runDistributedQuery(localTopKs(values, 2), transport, cfg, rng),
+    const QueryDescriptor d = descriptor(static_cast<std::uint64_t>(q + 1), 2);
+    EXPECT_EQ(runOverInProc(databasesOf(values), d, rng),
               data::trueTopK(values, 2))
         << "query " << q;
   }
@@ -118,32 +152,19 @@ TopKVector runOverTcp(const std::vector<std::vector<Value>>& values,
   options.encrypt = encrypt;
   options.keySeed = seed;
 
-  std::vector<std::unique_ptr<net::TcpTransport>> transports;
+  std::vector<std::unique_ptr<net::TcpTransport>> owned;
+  std::vector<net::Transport*> transports;
   for (std::size_t i = 0; i < n; ++i) {
-    transports.push_back(std::make_unique<net::TcpTransport>(
+    owned.push_back(std::make_unique<net::TcpTransport>(
         static_cast<NodeId>(i), peers, options));
+    transports.push_back(owned.back().get());
   }
 
   Rng rng(seed);
-  DistributedConfig cfg = makeConfig(n, k, rng);
-  const auto locals = localTopKs(values, k);
-
-  std::vector<std::future<TopKVector>> futures;
-  std::vector<Rng> rngs;
-  for (std::size_t i = 0; i < n; ++i) rngs.push_back(rng.fork(i));
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(std::async(std::launch::async, [&, i] {
-      protocol::DistributedParticipant participant(static_cast<NodeId>(i),
-                                                   locals[i], *transports[i],
-                                                   cfg, rngs[i]);
-      return participant.run();
-    }));
-  }
-  TopKVector result = futures.front().get();
-  for (std::size_t i = 1; i < n; ++i) {
-    EXPECT_EQ(futures[i].get(), result) << "node " << i << " disagrees";
-  }
-  for (auto& t : transports) t->shutdown();
+  const TopKVector result =
+      runOnServices(databasesOf(values), transports, descriptor(77, k),
+                    shuffledRing(n, rng), rng.engine()());
+  for (auto& t : owned) t->shutdown();
   return result;
 }
 
@@ -168,29 +189,24 @@ TEST(EndToEnd, EnginesAgreeOnDeterministicRuns) {
   const auto values = data::generateValueSets(5, 6, dist, dataRng);
   const TopKVector truth = data::trueTopK(values, 3);
 
-  ProtocolParams params;
-  params.k = 3;
-  params.p0 = 0.0;
-  params.rounds = 2;
+  QueryDescriptor d = descriptor(77, 3);
+  d.params.p0 = 0.0;
+  d.params.rounds = 2;
 
   // Synchronous runner.
   Rng rng1(11);
-  const protocol::RingQueryRunner runner(params, ProtocolKind::Probabilistic);
+  const protocol::RingQueryRunner runner(d.params, ProtocolKind::Probabilistic);
   EXPECT_EQ(runner.run(values, rng1).result, truth);
 
   // Event-driven simulation.
   protocol::SimulatedRunConfig simCfg;
-  simCfg.params = params;
+  simCfg.params = d.params;
   Rng rng2(12);
-  EXPECT_EQ(runSimulatedQuery(values, simCfg, rng2).result, truth);
+  EXPECT_EQ(protocol::runSimulatedQuery(values, simCfg, rng2).result, truth);
 
-  // Distributed engine over in-process transport.
-  net::InProcTransport transport(5);
+  // NodeService ring over an in-process transport.
   Rng rng3(13);
-  DistributedConfig cfg = makeConfig(5, 3, rng3);
-  cfg.params = params;
-  EXPECT_EQ(runDistributedQuery(localTopKs(values, 3), transport, cfg, rng3),
-            truth);
+  EXPECT_EQ(runOverInProc(databasesOf(values), d, rng3), truth);
 }
 
 TEST(EndToEnd, SecureChannelProtectsTokenBytes) {
@@ -212,4 +228,4 @@ TEST(EndToEnd, SecureChannelProtectsTokenBytes) {
 }
 
 }  // namespace
-}  // namespace privtopk
+}  // namespace privtopk::query

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "data/generator.hpp"
+#include "query/gateway.hpp"
 
 namespace privtopk::query {
 namespace {
@@ -86,85 +87,107 @@ TEST(ResultCache, ZeroCapacityIsAConfigError) {
   EXPECT_THROW(ResultCache cache(options), ConfigError);
 }
 
+TEST(ResultCache, ClearDropsEntries) {
+  // Distinct questions (k, type) and data epochs are distinct keys.
+  ResultCache cache;
+  QueryDescriptor bottom = descriptor(1, 3);
+  bottom.type = QueryType::BottomK;
+  const std::vector<std::string> keys = {
+      ResultCache::keyFor(descriptor(1, 3), 0),
+      ResultCache::keyFor(descriptor(1, 5), 0),
+      ResultCache::keyFor(bottom, 0),
+      ResultCache::keyFor(descriptor(1, 3), 1),
+  };
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    cache.insert(keys[i], outcomeOf(static_cast<Value>(i)));
+  }
+  EXPECT_EQ(cache.size(), keys.size());
+
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  for (const std::string& key : keys) EXPECT_FALSE(cache.lookup(key));
+  EXPECT_EQ(cache.counters().misses, keys.size());
+}
+
+// CachedFederation: a ResultCache in front of an in-process federation,
+// as query::Gateway composes them.
+
 TEST(CachedFederation, RepeatedQueryHitsCache) {
   const auto fleet = makeFleet(1);
   const Federation federation(fleet);
-  CachedFederation cached(federation);
-  Rng rng(2);
+  Gateway cached(federation, /*seed=*/2);
 
-  const auto first = cached.execute(descriptor(), rng);
-  const auto second = cached.execute(descriptor(), rng);
+  const auto first = cached.execute(descriptor());
+  const auto second = cached.execute(descriptor());
   EXPECT_EQ(first.values, second.values);
-  EXPECT_EQ(cached.hits(), 1u);
-  EXPECT_EQ(cached.misses(), 1u);
-  EXPECT_EQ(cached.size(), 1u);
+  const auto stats = cached.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.cacheSize, 1u);
 }
 
 TEST(CachedFederation, QueryIdDoesNotBustCache) {
   // The query id is a transport nonce; the same QUESTION must hit.
   const auto fleet = makeFleet(3);
   const Federation federation(fleet);
-  CachedFederation cached(federation);
-  Rng rng(4);
+  Gateway cached(federation, /*seed=*/4);
 
-  (void)cached.execute(descriptor(/*queryId=*/1), rng);
-  (void)cached.execute(descriptor(/*queryId=*/999), rng);
-  EXPECT_EQ(cached.hits(), 1u);
-  EXPECT_EQ(cached.misses(), 1u);
+  (void)cached.execute(descriptor(/*queryId=*/1));
+  (void)cached.execute(descriptor(/*queryId=*/999));
+  EXPECT_EQ(cached.stats().hits, 1u);
+  EXPECT_EQ(cached.stats().misses, 1u);
 }
 
 TEST(CachedFederation, DifferentQuestionsMiss) {
   const auto fleet = makeFleet(5);
   const Federation federation(fleet);
-  CachedFederation cached(federation);
-  Rng rng(6);
+  Gateway cached(federation, /*seed=*/6);
 
-  (void)cached.execute(descriptor(1, 3), rng);
-  (void)cached.execute(descriptor(1, 5), rng);  // different k
+  (void)cached.execute(descriptor(1, 3));
+  (void)cached.execute(descriptor(1, 5));  // different k
   QueryDescriptor bottom = descriptor(1, 3);
   bottom.type = QueryType::BottomK;
-  (void)cached.execute(bottom, rng);  // different type
-  EXPECT_EQ(cached.misses(), 3u);
-  EXPECT_EQ(cached.hits(), 0u);
-  EXPECT_EQ(cached.size(), 3u);
+  (void)cached.execute(bottom);  // different type
+  const auto stats = cached.stats();
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.cacheSize, 3u);
 }
 
 TEST(CachedFederation, DataEpochInvalidates) {
   const auto fleet = makeFleet(7);
   const Federation federation(fleet);
-  CachedFederation cached(federation);
-  Rng rng(8);
+  Gateway cached(federation, /*seed=*/8);
 
-  (void)cached.execute(descriptor(), rng, /*dataEpoch=*/0);
-  (void)cached.execute(descriptor(), rng, /*dataEpoch=*/1);
-  EXPECT_EQ(cached.misses(), 2u);
-  (void)cached.execute(descriptor(), rng, /*dataEpoch=*/1);
-  EXPECT_EQ(cached.hits(), 1u);
+  (void)cached.execute(descriptor());  // epoch 0
+  cached.bumpDataEpoch();
+  (void)cached.execute(descriptor());  // epoch 1
+  EXPECT_EQ(cached.stats().misses, 2u);
+  (void)cached.execute(descriptor());
+  EXPECT_EQ(cached.stats().hits, 1u);
 }
 
 TEST(CachedFederation, ClearDropsEntries) {
   const auto fleet = makeFleet(9);
   const Federation federation(fleet);
-  CachedFederation cached(federation);
-  Rng rng(10);
+  Gateway cached(federation, /*seed=*/10);
 
-  (void)cached.execute(descriptor(), rng);
-  cached.clear();
-  EXPECT_EQ(cached.size(), 0u);
-  (void)cached.execute(descriptor(), rng);
-  EXPECT_EQ(cached.misses(), 2u);
+  (void)cached.execute(descriptor());
+  cached.invalidateAll();
+  EXPECT_EQ(cached.stats().cacheSize, 0u);
+  (void)cached.execute(descriptor());
+  EXPECT_EQ(cached.stats().misses, 2u);
 }
 
 TEST(CachedFederation, CachedAnswerMatchesTruth) {
   const auto fleet = makeFleet(11);
   const auto raw = data::fleetValues(fleet, "sales", "revenue");
   const Federation federation(fleet);
-  CachedFederation cached(federation);
-  Rng rng(12);
-  const auto outcome = cached.execute(descriptor(), rng);
+  Gateway cached(federation, /*seed=*/12);
+  const auto outcome = cached.execute(descriptor());
   EXPECT_EQ(outcome.values, data::trueTopK(raw, 3));
   // The cached copy is byte-identical.
-  EXPECT_EQ(cached.execute(descriptor(), rng).values, outcome.values);
+  EXPECT_EQ(cached.execute(descriptor()).values, outcome.values);
 }
 
 }  // namespace

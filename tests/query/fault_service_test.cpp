@@ -1,11 +1,13 @@
 // NodeService fault-tolerance tests: retransmission of lost tokens, ring
-// repair around crashed peers (over both InProc and real TCP transports),
-// peer kill + relaunch mid-query, and the bounded completed-result cache.
+// repair around crashed and unreachable peers (over both InProc and real
+// TCP transports), peer kill + relaunch mid-query, and the bounded
+// completed-result cache.
 
 #include "query/service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "data/generator.hpp"
@@ -92,7 +94,8 @@ struct FaultyInProcCluster {
 };
 
 /// TCP fleet: one transport per node, each wrapped around a SHARED fault
-/// state so a scheduled crash severs the node in both directions.
+/// state so a scheduled crash severs the node in both directions.  Nodes
+/// in `neverLaunched` keep their address-book entry but never listen.
 struct FaultyTcpCluster {
   std::vector<data::PrivateDatabase> dbs;
   std::vector<net::TcpPeer> peers;
@@ -102,7 +105,8 @@ struct FaultyTcpCluster {
   std::vector<std::unique_ptr<NodeService>> services;
 
   FaultyTcpCluster(std::size_t n, const std::string& faultSpec,
-                   std::uint64_t seed = 31)
+                   std::uint64_t seed = 31,
+                   const std::vector<NodeId>& neverLaunched = {})
       : dbs(makeFleet(n, seed)),
         faults(std::make_shared<net::FaultState>(
             net::FaultSpec::parse(faultSpec))) {
@@ -116,7 +120,12 @@ struct FaultyTcpCluster {
       }
       for (auto& p : probes) p->shutdown();
     }
-    for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) launch(id);
+    for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {
+      if (std::find(neverLaunched.begin(), neverLaunched.end(), id) ==
+          neverLaunched.end()) {
+        launch(id);
+      }
+    }
   }
 
   /// Starts (or restarts) node `id` on its assigned port.
@@ -201,6 +210,15 @@ TEST(NodeServiceFaults, RingShrinkingBelowThreeAbortsTheQuery) {
   EXPECT_THROW((void)future.get(), TransportError);
 }
 
+TEST(NodeServiceFaults, PeerWithoutMailboxIsSplicedOut) {
+  // Node 9 is on the agreed ring but has no InProc mailbox: every send to
+  // it throws, so node 0 splices it out and the live trio completes.
+  FaultyInProcCluster cluster(3, "");
+  auto future = cluster.services[0]->initiate(descriptor(8), {0, 9, 1, 2});
+  ASSERT_EQ(future.wait_for(20s), std::future_status::ready);
+  EXPECT_EQ(future.get(), survivorsTopK(cluster.dbs, {0, 1, 2}, 3));
+}
+
 // ---------------------------------------------------------------------------
 // Acceptance scenario (ISSUE 2): 5-node TCP query with one dropped token
 // and one crashed non-initiator completes with the survivors' result.
@@ -216,6 +234,21 @@ TEST(NodeServiceFaults, TcpQuerySurvivesDropAndCrash) {
     const auto result = cluster.services[id]->waitFor(5, 10'000ms);
     ASSERT_TRUE(result.has_value()) << "node " << id;
     EXPECT_EQ(*result, survivorsTopK(cluster.dbs, {0, 1, 3, 4}, 3));
+  }
+}
+
+TEST(NodeServiceFaults, TcpPeerThatNeverListensIsSplicedOut) {
+  // Peer 3 is in every address book but its listener never starts.  A
+  // refused connect is a different failure path from an injected crash;
+  // node 1 must still splice 3 out of the ring {0, 1, 3, 2}.
+  FaultyTcpCluster cluster(4, "", 31, /*neverLaunched=*/{3});
+  auto future = cluster.services[0]->initiate(descriptor(9), {0, 1, 3, 2});
+  ASSERT_EQ(future.wait_for(30s), std::future_status::ready);
+  EXPECT_EQ(future.get(), survivorsTopK(cluster.dbs, {0, 1, 2}, 3));
+  for (NodeId id : {NodeId{1}, NodeId{2}}) {
+    const auto result = cluster.services[id]->waitFor(9, 10'000ms);
+    ASSERT_TRUE(result.has_value()) << "node " << id;
+    EXPECT_EQ(*result, survivorsTopK(cluster.dbs, {0, 1, 2}, 3));
   }
 }
 

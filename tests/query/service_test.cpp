@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <numeric>
+#include <thread>
 
 #include "data/generator.hpp"
 #include "net/inproc.hpp"
@@ -300,6 +302,110 @@ TEST(NodeService, WorksOverTcp) {
 
   for (auto& s : services) s->stop();
   for (auto& t : transports) t->shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// DistributedParticipant: one party's side of the distributed protocol -
+// configuration checks, hostile inbound traffic on a follower, and the
+// wait for traffic that never comes.
+
+obs::Counter& droppedMessages() {
+  return obs::counter("privtopk.query.dropped_messages",
+                      {{"engine", "service"}});
+}
+
+bool eventually(const std::function<bool()>& condition) {
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (!condition()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(1ms);
+  }
+  return true;
+}
+
+// Runs a Max query from node 0 and checks that every node, the follower
+// that saw the hostile traffic included, learns the true answer.
+void expectRingStillServes(Cluster& cluster, std::uint64_t queryId) {
+  const TopKVector truth = data::trueTopK(cluster.rawValues(), 1);
+  auto future = cluster.services[0]->initiate(
+      descriptor(queryId, QueryType::Max), cluster.ringFrom(0));
+  ASSERT_EQ(future.wait_for(5s), std::future_status::ready);
+  EXPECT_EQ(future.get(), truth);
+  for (std::size_t i = 1; i < cluster.services.size(); ++i) {
+    EXPECT_EQ(cluster.services[i]->waitFor(queryId, 5000ms), truth)
+        << "node " << i;
+  }
+}
+
+TEST(DistributedParticipant, ValidatesConfiguration) {
+  Cluster cluster(4);
+  NodeService& node = *cluster.services[0];
+  EXPECT_THROW((void)node.initiate(descriptor(80), {0, 1}), ConfigError);
+  EXPECT_THROW((void)node.initiate(descriptor(81), {1, 2, 3}), ConfigError);
+  QueryDescriptor badParams = descriptor(82);
+  badParams.params.p0 = 7.0;
+  EXPECT_THROW((void)node.initiate(badParams, {0, 1, 2}), ConfigError);
+  EXPECT_EQ(node.activeQueries(), 0u);
+}
+
+TEST(DistributedParticipant, FollowerRejectsForeignQueryId) {
+  Cluster cluster(3);
+  const std::uint64_t before = droppedMessages().value();
+  cluster.transport->send(
+      0, 1, net::encodeMessage(net::RoundToken{/*queryId=*/999, 1, {3}, {}}));
+  expectRingStillServes(cluster, 83);
+  EXPECT_TRUE(eventually([&] { return droppedMessages().value() > before; }));
+  EXPECT_EQ(cluster.services[1]->resultOf(999), std::nullopt);
+  EXPECT_EQ(cluster.services[1]->activeQueries(), 0u);
+}
+
+TEST(DistributedParticipant, FollowerRejectsMalformedPayload) {
+  Cluster cluster(3);
+  const std::uint64_t before = droppedMessages().value();
+  cluster.transport->send(0, 1, Bytes{0xde, 0xad, 0xbe, 0xef});
+  expectRingStillServes(cluster, 84);
+  EXPECT_TRUE(eventually([&] { return droppedMessages().value() > before; }));
+  EXPECT_EQ(cluster.services[1]->activeQueries(), 0u);
+}
+
+TEST(DistributedParticipant, FollowerRejectsUnexpectedMessageType) {
+  // A RingRepair ahead of its query's announce condemns node 2.  Links are
+  // FIFO and one query's messages are handled in order, so the follower
+  // sees the repair first; it must ignore it rather than splice node 2 out
+  // of the ring once the query arrives.
+  Cluster cluster(3);
+  cluster.transport->send(0, 1, net::encodeMessage(net::RingRepair{85, 2, 0}));
+  expectRingStillServes(cluster, 85);
+}
+
+TEST(DistributedParticipant, TimesOutWithoutTraffic) {
+  // Nodes 1 and 2 have mailboxes but no service: the initiator's announce
+  // is never answered, so the query fails with TransportError once it has
+  // sat idle for staleAfter.
+  data::FleetSpec spec;
+  spec.nodes = 1;
+  spec.rowsPerNode = 5;
+  spec.tableName = "sales";
+  spec.attribute = "revenue";
+  Rng rng(86);
+  const auto dbs = data::generateFleet(spec, rng);
+  net::InProcTransport transport(3);
+  ServiceOptions options;
+  options.staleAfter = 100ms;
+  options.retransmitAfter = 0ms;
+  NodeService service(0, dbs[0], transport, 87, options);
+  service.start();
+
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(service.waitFor(88, 50ms), std::nullopt);
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, 50ms);
+
+  auto future = service.initiate(descriptor(89, QueryType::Max), {0, 1, 2});
+  ASSERT_EQ(future.wait_for(5s), std::future_status::ready);
+  EXPECT_THROW((void)future.get(), TransportError);
+  EXPECT_EQ(service.activeQueries(), 0u);
+  service.stop();
+  transport.shutdown();
 }
 
 }  // namespace
