@@ -73,13 +73,8 @@ void BM_ServiceThroughput(benchmark::State& state) {
 
   net::InProcTransport transport(kNodes);
   query::ServiceOptions options;
-  options.workerThreads = 4;
   options.maxInflightInitiations = inflight;
   options.maxQueuedInitiations = kQueriesPerBatch + 8;
-  // A merge announce can race ahead of a remote delegate's own phase-1
-  // announce; the dropped message is recovered by retransmission, so a
-  // short deadline keeps that recovery off the measured critical path.
-  options.retransmitAfter = std::chrono::milliseconds(50);
   options.traceQueries = traceMode != kTraceOff;
   options.spanRingCapacity = traceMode == kTraceRingBuffer ? 8192 : 0;
   std::vector<std::unique_ptr<query::NodeService>> services;
@@ -189,7 +184,6 @@ void BM_ServiceThroughputLinks(benchmark::State& state) {
   }
 
   query::ServiceOptions options;
-  options.workerThreads = 2;
   options.maxInflightInitiations = inflight;
   options.maxQueuedInitiations = kBatch + 8;
   options.retransmitAfter = std::chrono::milliseconds(250);

@@ -59,7 +59,6 @@ void BM_WanFederation(benchmark::State& state) {
       inner, net::ShapingSpec::parse("profile:*:" + profile + ",seed:17"));
 
   query::ServiceOptions options;
-  options.workerThreads = 3;
   options.maxInflightInitiations = 4;
   // Intercontinental hops run ~100 ms each; a long deadline keeps
   // spurious retransmissions off the measured path.

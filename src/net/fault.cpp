@@ -80,15 +80,9 @@ FaultSpec FaultSpec::parse(const std::string& text) {
       }
       spec.drops.push_back({from, to, nth});
     } else if (kind == "delay") {
-      const auto lastColon = args.rfind(':');
-      if (lastColon == std::string::npos) {
-        throw ConfigError("fault spec clause '" + clause +
-                          "': expected delay:FROM->TO:MS");
-      }
-      const auto [from, to] = parseLink(args.substr(0, lastColon), clause);
-      const std::size_t ms = parseCount(args.substr(lastColon + 1), clause);
-      spec.delays.push_back(
-          {from, to, std::chrono::milliseconds(static_cast<long>(ms))});
+      throw ConfigError("fault spec clause '" + clause +
+                        "': link delay is shaping, not a fault - use the "
+                        "shape spec's lat:FROM->TO:MS (ShapingSpec)");
     } else if (kind == "crash") {
       const auto at = args.find('@');
       if (at == std::string::npos) {
@@ -101,7 +95,7 @@ FaultSpec FaultSpec::parse(const std::string& text) {
       spec.crashes.push_back(crash);
     } else {
       throw ConfigError("fault spec clause '" + clause + "': unknown kind '" +
-                        kind + "' (drop|delay|crash)");
+                        kind + "' (drop|crash)");
     }
   }
   return spec;
@@ -112,11 +106,6 @@ std::string FaultSpec::toString() const {
   for (const auto& d : drops) {
     parts.push_back("drop:" + std::to_string(d.from) + "->" +
                     std::to_string(d.to) + ":" + std::to_string(d.nth));
-  }
-  for (const auto& d : delays) {
-    parts.push_back("delay:" + std::to_string(d.from) + "->" +
-                    std::to_string(d.to) + ":" +
-                    std::to_string(d.delay.count()));
   }
   for (const auto& c : crashes) {
     parts.push_back("crash:" + std::to_string(c.node) + "@" +
@@ -136,10 +125,8 @@ FaultState::FaultState(FaultSpec spec) : spec_(std::move(spec)) {
   }
 }
 
-bool FaultState::onSend(NodeId from, NodeId to,
-                        std::chrono::milliseconds& delayOut) {
+bool FaultState::onSend(NodeId from, NodeId to) {
   std::scoped_lock lock(mutex_);
-  delayOut = std::chrono::milliseconds(0);
   if (crashed_.contains(from)) {
     throw TransportError("fault: node " + std::to_string(from) +
                          " is crashed");
@@ -163,14 +150,6 @@ bool FaultState::onSend(NodeId from, NodeId to,
     if (drop.from == from && drop.to == to && drop.nth == nth) {
       ++dropsInjected_;
       return true;
-    }
-  }
-  for (const auto& delay : spec_.delays) {
-    if (delay.from == from && delay.to == to &&
-        delay.delay.count() > 0) {
-      ++delaysInjected_;
-      delayOut = delay.delay;
-      break;
     }
   }
   return false;
@@ -200,11 +179,6 @@ std::size_t FaultState::dropsInjected() const {
   return dropsInjected_;
 }
 
-std::size_t FaultState::delaysInjected() const {
-  std::scoped_lock lock(mutex_);
-  return delaysInjected_;
-}
-
 FaultInjectingTransport::FaultInjectingTransport(Transport& inner,
                                                  FaultSpec spec)
     : FaultInjectingTransport(inner,
@@ -215,18 +189,15 @@ FaultInjectingTransport::FaultInjectingTransport(
     : inner_(&inner), state_(std::move(state)),
       metricDropped_(
           obs::counter("privtopk.transport.faults_dropped", kFaultLabels)),
-      metricDelayed_(
-          obs::counter("privtopk.transport.faults_delayed", kFaultLabels)),
       metricCrashRejects_(
           obs::counter("privtopk.transport.faults_crash_rejects",
                        kFaultLabels)) {}
 
 void FaultInjectingTransport::send(NodeId from, NodeId to,
                                    const Bytes& payload) {
-  std::chrono::milliseconds delay{0};
   bool dropped = false;
   try {
-    dropped = state_->onSend(from, to, delay);
+    dropped = state_->onSend(from, to);
   } catch (const TransportError&) {
     metricCrashRejects_.inc();
     throw;
@@ -235,11 +206,6 @@ void FaultInjectingTransport::send(NodeId from, NodeId to,
     metricDropped_.inc();
     PRIVTOPK_LOG_WARN_C("fault", "dropping message ", from, " -> ", to);
     return;  // swallowed: the sender believes the send succeeded
-  }
-  if (delay.count() > 0) {
-    metricDelayed_.inc();
-    // Sleeping in the caller thread preserves per-sender FIFO order.
-    std::this_thread::sleep_for(delay);
   }
   inner_->send(from, to, payload);
 }

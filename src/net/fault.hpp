@@ -1,7 +1,8 @@
 // Fault injection for transports: a decorator that wraps any Transport and
-// applies a deterministic schedule of message drops, link delays and
-// fail-stop node crashes.  Used by the robustness test suites and exposed
-// on the CLI via --fault-spec (see docs/ROBUSTNESS.md).
+// applies a deterministic schedule of message drops and fail-stop node
+// crashes.  Link latency is ShapingTransport's job (shaping.hpp), which
+// delays without blocking the sender.  Used by the robustness test suites
+// and exposed on the CLI via --fault-spec (see docs/ROBUSTNESS.md).
 //
 // Deployment model: in-process fleets share one transport, so a single
 // wrapper suffices; TCP fleets run one transport per node, so each node
@@ -34,12 +35,6 @@ struct FaultSpec {
     NodeId to = 0;
     std::size_t nth = 1;
   };
-  /// Delay every message on the `from`->`to` link by `delay`.
-  struct Delay {
-    NodeId from = 0;
-    NodeId to = 0;
-    std::chrono::milliseconds delay{0};
-  };
   /// Fail-stop `node` once it has sent `afterSends` messages (0 = crashed
   /// from the start).  A crashed node's sends and receives fail, and peers
   /// sending to it see a TransportError.
@@ -49,19 +44,18 @@ struct FaultSpec {
   };
 
   std::vector<Drop> drops;
-  std::vector<Delay> delays;
   std::vector<Crash> crashes;
 
   [[nodiscard]] bool empty() const {
-    return drops.empty() && delays.empty() && crashes.empty();
+    return drops.empty() && crashes.empty();
   }
 
   /// Parses a comma/semicolon-separated clause list, e.g.
-  ///   "drop:0->1:3,delay:1->2:50,crash:2@5"
+  ///   "drop:0->1:3,crash:2@5"
   ///   drop:F->T:N    drop the Nth message from F to T (1-based)
-  ///   delay:F->T:MS  delay the F->T link by MS milliseconds
   ///   crash:NODE@N   fail-stop NODE after it has sent N messages
-  /// Throws ConfigError on malformed input, naming the offending token.
+  /// Throws ConfigError on malformed input, naming the offending token; a
+  /// "delay:" clause is rejected with a pointer to ShapingSpec's "lat:".
   /// Empty string = no faults.  Numbers must be whole tokens: "50x" is an
   /// error, not 50.
   static FaultSpec parse(const std::string& text);
@@ -78,16 +72,13 @@ class FaultState {
   /// Returns true when the message should be dropped; advances counters
   /// and may transition `from` into the crashed set.  Throws
   /// TransportError when either endpoint is (now) crashed.
-  /// On a deliverable message, `delayOut` receives the link delay (0 when
-  /// none).
-  bool onSend(NodeId from, NodeId to, std::chrono::milliseconds& delayOut);
+  bool onSend(NodeId from, NodeId to);
 
   [[nodiscard]] bool isCrashed(NodeId node) const;
   void crash(NodeId node);
   void revive(NodeId node);
 
   [[nodiscard]] std::size_t dropsInjected() const;
-  [[nodiscard]] std::size_t delaysInjected() const;
 
  private:
   mutable std::mutex mutex_;
@@ -96,7 +87,6 @@ class FaultState {
   std::map<std::pair<NodeId, NodeId>, std::size_t> linkSendCount_;
   std::map<NodeId, std::size_t> nodeSendCount_;
   std::size_t dropsInjected_ = 0;
-  std::size_t delaysInjected_ = 0;
 };
 
 class FaultInjectingTransport final : public Transport {
@@ -124,9 +114,6 @@ class FaultInjectingTransport final : public Transport {
   [[nodiscard]] std::size_t dropsInjected() const {
     return state_->dropsInjected();
   }
-  [[nodiscard]] std::size_t delaysInjected() const {
-    return state_->delaysInjected();
-  }
   [[nodiscard]] const std::shared_ptr<FaultState>& state() const {
     return state_;
   }
@@ -136,7 +123,6 @@ class FaultInjectingTransport final : public Transport {
   std::shared_ptr<FaultState> state_;
 
   obs::Counter& metricDropped_;
-  obs::Counter& metricDelayed_;
   obs::Counter& metricCrashRejects_;
 };
 

@@ -29,8 +29,11 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Enqueues `payload` for delivery to `to`.  Throws TransportError when
-  /// the destination is unknown or the link is down.
+  /// Enqueues `payload` for delivery to `to`.  send() never blocks: it
+  /// enqueues, or throws OverloadError (the link's queue is full; retry
+  /// later) or TransportError (the destination is unknown or the link is
+  /// down).  NodeService relies on this: one thread per node handles
+  /// every message and performs its sends.
   virtual void send(NodeId from, NodeId to, const Bytes& payload) = 0;
 
   /// Blocks until a message for `node` arrives or `timeout` elapses;

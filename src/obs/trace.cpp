@@ -40,8 +40,7 @@ std::string renderSpanJson(const SpanRecord& span) {
      << "\",\"parent_span_id\":\"" << span.parentSpanId
      << "\",\"query_id\":" << span.queryId << ",\"node\":" << span.node
      << ",\"round\":" << span.round << ",\"start_ns\":" << span.startNs
-     << ",\"dur_ns\":" << span.durNs << ",\"queue_ns\":" << span.queueNs
-     << '}';
+     << ",\"dur_ns\":" << span.durNs << '}';
   return os.str();
 }
 

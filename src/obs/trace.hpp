@@ -47,13 +47,12 @@ struct SpanRecord {
   std::uint32_t round = 0;
   std::int64_t startNs = 0;  ///< steady_clock ns, process-local epoch
   std::int64_t durNs = 0;
-  std::int64_t queueNs = 0;  ///< scheduler queue wait before handling
 
   friend bool operator==(const SpanRecord&, const SpanRecord&) = default;
 };
 
 /// Destination for completed spans.  Implementations must be thread-safe:
-/// scheduler workers of one NodeService emit concurrently.
+/// a NodeService's receiver and its initiating callers emit concurrently.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

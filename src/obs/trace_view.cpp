@@ -82,7 +82,6 @@ std::optional<SpanRecord> parseSpanJsonLine(std::string_view line) {
       static_cast<std::uint32_t>(fieldUint(line, "round").value_or(0));
   span.startNs = fieldInt(line, "start_ns").value_or(0);
   span.durNs = fieldInt(line, "dur_ns").value_or(0);
-  span.queueNs = fieldInt(line, "queue_ns").value_or(0);
   return span;
 }
 
@@ -174,9 +173,8 @@ TraceTimeline buildTimeline(const std::vector<SpanRecord>& spans,
     }
     if (!found) break;
     // Zero-latency handshake assumption: aligned child start == aligned
-    // parent end, which also folds the child's queue wait into its start.
-    offsets[bestChild->node] =
-        bestParentEnd - (bestChild->startNs - bestChild->queueNs);
+    // parent end.
+    offsets[bestChild->node] = bestParentEnd - bestChild->startNs;
   }
 
   const auto alignedStart = [&](const SpanRecord& span) {
@@ -204,7 +202,6 @@ TraceTimeline buildTimeline(const std::vector<SpanRecord>& spans,
     PhaseStats& stats = timeline.phases[span.name];
     ++stats.count;
     stats.computeNs += span.durNs;
-    stats.queueNs += span.queueNs;
     stats.gapNs += std::max<std::int64_t>(0, entry.gapNs);
     timeline.spans.push_back(std::move(entry));
   }
@@ -283,9 +280,6 @@ std::string renderTimeline(const TraceTimeline& timeline) {
                   static_cast<unsigned long long>(entry.span.queryId),
                   entry.span.round);
     os << line;
-    if (entry.span.queueNs > 0) {
-      os << "  queue " << fmt("%.3f", ms(entry.span.queueNs)) << " ms";
-    }
     if (entry.gapNs > 0) {
       os << "  gap " << fmt("%.3f", ms(entry.gapNs)) << " ms";
     }
@@ -304,14 +298,14 @@ std::string renderTimeline(const TraceTimeline& timeline) {
 
   os << "\nphase breakdown:\n";
   char header[128];
-  std::snprintf(header, sizeof header, "  %-20s %5s %12s %12s %12s\n", "phase",
-                "count", "compute ms", "queue ms", "send/net ms");
+  std::snprintf(header, sizeof header, "  %-20s %5s %12s %12s\n", "phase",
+                "count", "compute ms", "send/net ms");
   os << header;
   for (const auto& [name, stats] : timeline.phases) {
     char line[160];
-    std::snprintf(line, sizeof line, "  %-20s %5zu %12.3f %12.3f %12.3f\n",
+    std::snprintf(line, sizeof line, "  %-20s %5zu %12.3f %12.3f\n",
                   name.c_str(), stats.count, ms(stats.computeNs),
-                  ms(stats.queueNs), ms(stats.gapNs));
+                  ms(stats.gapNs));
     os << line;
   }
 

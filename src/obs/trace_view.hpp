@@ -5,8 +5,8 @@
 // node, aligns their clocks along the trace's causal edges, and derives
 // the artifacts an operator reads: a single ordered timeline, the critical
 // path (the parent chain ending at the latest span), and a per-phase
-// breakdown separating scheduler queue wait, send/network gaps and local
-// compute.
+// breakdown separating send/network gaps (which include the wait in the
+// receiver's mailbox) from local compute.
 //
 // Clock alignment: the initiator's node is the reference (offset 0).  The
 // first causal edge reaching any other node - its announce or first round
@@ -60,7 +60,6 @@ struct TimelineSpan {
 struct PhaseStats {
   std::size_t count = 0;
   std::int64_t computeNs = 0;  ///< sum of span durations
-  std::int64_t queueNs = 0;    ///< scheduler queue wait before handling
   std::int64_t gapNs = 0;      ///< positive send/network gaps from parents
 };
 

@@ -139,8 +139,7 @@ Actions Participant::finish(Actions actions, const TopKVector& result,
 
 obs::TraceContext Participant::emitSpan(const obs::TraceContext& in,
                                         const char* name, Round round,
-                                        std::int64_t startNs,
-                                        std::int64_t queueNs) {
+                                        std::int64_t startNs) {
   if (spanSink_ == nullptr || !in.active()) return in;
   obs::SpanRecord span;
   span.traceId = in.traceId;
@@ -152,7 +151,6 @@ obs::TraceContext Participant::emitSpan(const obs::TraceContext& in,
   span.round = round;
   span.startNs = startNs;
   span.durNs = obs::EventTracer::nowNs() - startNs;
-  span.queueNs = queueNs;
   spanSink_->recordSpan(span);
   return obs::TraceContext{in.traceId, span.spanId};
 }
@@ -171,12 +169,12 @@ Actions Participant::onStart(obs::TraceContext ctx) {
   Actions actions;
   TopKVector out = process(1, initial);
   actions.sendToken = net::RoundToken{queryId_, 1, std::move(out),
-                                      emitSpan(ctx, "ring_round", 1, t0, 0)};
+                                      emitSpan(ctx, "ring_round", 1, t0)};
   return actions;
 }
 
 Actions Participant::onToken(Round round, const TopKVector& vector,
-                             obs::TraceContext ctx, std::int64_t queueNs) {
+                             obs::TraceContext ctx) {
   Actions actions;
   if (completed_ || aborted_) {
     actions.duplicate = true;
@@ -198,12 +196,12 @@ Actions Participant::onToken(Round round, const TopKVector& vector,
     lastClosed_ = round;
     if (round >= rounds_) {
       return finish(actions, vector,
-                    emitSpan(ctx, "ring_round", round, t0, queueNs));
+                    emitSpan(ctx, "ring_round", round, t0));
     }
     TopKVector out = process(round + 1, vector);
     actions.sendToken =
         net::RoundToken{queryId_, round + 1, std::move(out),
-                        emitSpan(ctx, "ring_round", round + 1, t0, queueNs)};
+                        emitSpan(ctx, "ring_round", round + 1, t0)};
     return actions;
   }
   if (round <= lastProcessed_) {
@@ -213,7 +211,7 @@ Actions Participant::onToken(Round round, const TopKVector& vector,
   TopKVector out = process(round, vector);
   actions.sendToken =
       net::RoundToken{queryId_, round, std::move(out),
-                      emitSpan(ctx, "ring_round", round, t0, queueNs)};
+                      emitSpan(ctx, "ring_round", round, t0)};
   return actions;
 }
 
@@ -230,7 +228,7 @@ Actions Participant::onResult(const TopKVector& result,
                               : 0;
   // Forward once; the announcement dies when it reaches the start node.
   return finish(actions, result,
-                emitSpan(ctx, "result_dissemination", 0, t0, 0));
+                emitSpan(ctx, "result_dissemination", 0, t0));
 }
 
 RepairOutcome Participant::onPeerDead(NodeId failed) {

@@ -205,12 +205,9 @@ class Participant {
   [[nodiscard]] Actions onStart(obs::TraceContext ctx = {});
 
   /// A RoundToken arrived carrying `vector` for `round`.  `ctx` is the
-  /// context the token carried on the wire and `queueNs` the time it
-  /// waited in the driver's scheduler before this call (recorded on the
-  /// emitted span).
+  /// context the token carried on the wire.
   [[nodiscard]] Actions onToken(Round round, const TopKVector& vector,
-                                obs::TraceContext ctx = {},
-                                std::int64_t queueNs = 0);
+                                obs::TraceContext ctx = {});
 
   /// A ResultAnnouncement arrived.  Followers adopt the result and forward
   /// the announcement once; a completed node reports a duplicate.
@@ -268,8 +265,7 @@ class Participant {
   /// outgoing message; passes `in` through untouched when the sink is null
   /// or the context inactive.
   obs::TraceContext emitSpan(const obs::TraceContext& in, const char* name,
-                             Round round, std::int64_t startNs,
-                             std::int64_t queueNs);
+                             Round round, std::int64_t startNs);
   /// The ring ordering of the round currently in flight (wireRound_),
   /// derived from the base order by the mechanism and cached until the
   /// round advances or the base order changes.

@@ -25,16 +25,18 @@ constexpr char kService[] = "service";
 /// Merge traffic held per grouped query while this delegate finishes its
 /// own phase-1 run; beyond this the sender's retransmission covers us.
 constexpr std::size_t kStashCap = 64;
+/// Grouped queries with stashed merge traffic at once, counting those
+/// whose parent has not registered here yet.
+constexpr std::size_t kMaxStashedParents = 64;
 
 /// Sender placeholder for replayed stashed messages, whose transport-level
 /// origin was not recorded.  No ring ever contains it.
 constexpr NodeId kNoSender = std::numeric_limits<NodeId>::max();
 
 /// How often the receiver runs maintenance (stale GC + retransmission).
-/// Retransmit sends can block on slow links; running maintain() on every
-/// loop pass would throttle the receive rate below the arrival rate under
-/// a retransmission storm and the backlog would never drain (observed as
-/// a congestion collapse in the concurrency soak on single-core hosts).
+/// maintain() scans every active query; running it on every loop pass
+/// would throttle the receive rate below the arrival rate under a
+/// retransmission storm and the backlog would never drain.
 constexpr std::chrono::milliseconds kMaintainInterval{25};
 
 double elapsedMsSince(std::chrono::steady_clock::time_point start) {
@@ -186,7 +188,6 @@ NodeService::NodeService(NodeId self, const data::PrivateDatabase& db,
   if (options_.maxQueuedInitiations == 0) {
     throw ConfigError("NodeService: maxQueuedInitiations must be >= 1");
   }
-  options_.workerThreads = std::max<std::size_t>(1, options_.workerThreads);
   if (options_.spanRingCapacity > 0) {
     spanBuffer_ =
         std::make_unique<obs::SpanRingBuffer>(options_.spanRingCapacity);
@@ -197,14 +198,13 @@ NodeService::NodeService(NodeId self, const data::PrivateDatabase& db,
 NodeService::~NodeService() { stop(); }
 
 void NodeService::start() {
-  bool expected = false;
-  if (!running_.compare_exchange_strong(expected, true)) return;
+  {
+    std::scoped_lock lock(mutex_);
+    if (running_.load()) return;
+    running_.store(true);
+  }
   obs::registerProcessMetrics();
   receiver_ = std::thread([this] { receiveLoop(); });
-  workers_.reserve(options_.workerThreads);
-  for (std::size_t i = 0; i < options_.workerThreads; ++i) {
-    workers_.emplace_back([this] { dispatchLoop(); });
-  }
   if (options_.httpPort) {
     http_ = std::make_unique<net::HttpServer>(
         *options_.httpPort,
@@ -213,49 +213,29 @@ void NodeService::start() {
 }
 
 void NodeService::stop() {
-  bool expected = true;
-  if (!running_.compare_exchange_strong(expected, false)) return;
-  http_.reset();
-  schedCv_.notify_all();
-  if (receiver_.joinable()) receiver_.join();
-  for (auto& worker : workers_) {
-    if (worker.joinable()) worker.join();
+  {
+    std::scoped_lock lock(mutex_);
+    if (!running_.load()) return;
+    running_.store(false);
   }
-  workers_.clear();
+  http_.reset();
+  if (receiver_.joinable()) receiver_.join();
 
   // Deterministic drain: initiations that never began are rejected, begun
-  // ones fail - without this node's threads their rings cannot progress.
-  std::vector<std::promise<TopKVector>> rejected;
-  {
-    std::scoped_lock lock(schedMutex_);
-    for (auto& admission : admissionQueue_) {
-      metrics_.queueDepth.sub(1);
-      rejected.push_back(std::move(admission.promise));
-    }
-    admissionQueue_.clear();
-    for (auto& [key, items] : inbox_) {
-      for (auto& item : items) {
-        if (auto* admission = std::get_if<Admission>(&item)) {
-          inflightInitiations_.fetch_sub(1);
-          metrics_.inflightQueries.sub(1);
-          rejected.push_back(std::move(admission->promise));
-        }
-      }
-    }
-    inbox_.clear();
-    readyKeys_.clear();
-    busyKeys_.clear();
-    pendingIds_.clear();
-  }
-  for (auto& promise : rejected) {
-    promise.set_exception(std::make_exception_ptr(
+  // ones fail - without this node's receiver their rings cannot progress.
+  // initiate() checks running_ under the same lock, so nothing is admitted
+  // after this section.
+  std::scoped_lock lock(mutex_);
+  for (auto& admission : admissionQueue_) {
+    metrics_.queueDepth.sub(1);
+    admission.promise.set_exception(std::make_exception_ptr(
         TransportError("NodeService stopped before the query could run")));
   }
-  std::scoped_lock lock(mutex_);
+  admissionQueue_.clear();
   for (auto& [queryId, state] : active_) {
     if (state.admitted) {
       state.admitted = false;
-      inflightInitiations_.fetch_sub(1);
+      --inflightInitiations_;
       metrics_.inflightQueries.sub(1);
     }
     if (state.initiator && !state.promiseSettled) {
@@ -267,9 +247,8 @@ void NodeService::stop() {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler: one receiver thread feeds a keyed run queue; dispatch workers
-// drain it one item per key at a time, so each query's messages apply in
-// arrival order while distinct queries progress in parallel.
+// One thread per node: the receiver handles each message where it was
+// received, so a node's messages apply in arrival order.
 
 void NodeService::receiveLoop() {
   auto lastMaintain = std::chrono::steady_clock::now();
@@ -281,113 +260,38 @@ void NodeService::receiveLoop() {
       maintain();
     }
     if (!envelope) continue;
+    std::optional<net::Message> message;
     try {
-      net::Message message = net::decodeMessage(envelope->payload);
-      const std::uint64_t key = queryIdOf(message);
-      enqueueWork(key, WorkItem{Inbound{envelope->from, std::move(message),
-                                        obs::EventTracer::nowNs()}});
+      message = net::decodeMessage(envelope->payload);
     } catch (const Error& e) {
       // Hostile or stale traffic must not take the service down.
       metrics_.droppedMessages.inc();
       PRIVTOPK_LOG_WARN("service ", self_, ": dropped message from ",
                         envelope->from, ": ", e.what());
+      continue;
     }
+    handleInbound(envelope->from, *message);
   }
 }
 
-void NodeService::dispatchLoop() {
-  while (true) {
-    auto work = popWork();
-    if (!work) return;
-    runWorkItem(work->first, work->second);
-    finishKey(work->first);
-  }
-}
-
-void NodeService::enqueueWork(std::uint64_t key, WorkItem item) {
-  {
-    std::scoped_lock lock(schedMutex_);
-    inbox_[key].push_back(std::move(item));
-    if (!busyKeys_.contains(key)) readyKeys_.insert(key);
-  }
-  schedCv_.notify_one();
-}
-
-void NodeService::admitPending() {
-  while (!admissionQueue_.empty() &&
-         inflightInitiations_.load() < options_.maxInflightInitiations) {
-    Admission admission = std::move(admissionQueue_.front());
-    admissionQueue_.pop_front();
-    metrics_.queueDepth.sub(1);
-    inflightInitiations_.fetch_add(1);
-    metrics_.inflightQueries.add(1);
-    const std::uint64_t key = admission.descriptor.queryId;
-    inbox_[key].push_back(WorkItem{std::move(admission)});
-    if (!busyKeys_.contains(key)) readyKeys_.insert(key);
-  }
-}
-
-void NodeService::releaseInflightSlot() {
-  inflightInitiations_.fetch_sub(1);
-  metrics_.inflightQueries.sub(1);
-  // A waiting worker admits the next queued initiation; busy workers pass
-  // through admitPending() on their next popWork().
-  schedCv_.notify_all();
-}
-
-std::optional<std::pair<std::uint64_t, NodeService::WorkItem>>
-NodeService::popWork() {
-  std::unique_lock lock(schedMutex_);
-  while (running_.load()) {
-    admitPending();
-    if (!readyKeys_.empty()) {
-      const std::uint64_t key = *readyKeys_.begin();
-      readyKeys_.erase(readyKeys_.begin());
-      busyKeys_.insert(key);
-      auto& queue = inbox_[key];
-      WorkItem item = std::move(queue.front());
-      queue.pop_front();
-      if (queue.empty()) inbox_.erase(key);
-      return std::make_pair(key, std::move(item));
-    }
-    schedCv_.wait_for(lock, 50ms);
-  }
-  return std::nullopt;
-}
-
-void NodeService::finishKey(std::uint64_t key) {
-  bool moreWork = false;
-  {
-    std::scoped_lock lock(schedMutex_);
-    busyKeys_.erase(key);
-    if (inbox_.contains(key)) {
-      readyKeys_.insert(key);
-      moreWork = true;
-    }
-  }
-  if (moreWork) schedCv_.notify_one();
-}
-
-void NodeService::runWorkItem(std::uint64_t key, WorkItem& item) {
+void NodeService::handleInbound(NodeId from, const net::Message& message) {
   std::vector<Outbound> out;
   std::deque<Completion> done;
-  if (auto* admission = std::get_if<Admission>(&item)) {
-    performInitiation(*admission, out);
-  } else {
-    const auto& inbound = std::get<Inbound>(item);
-    const std::int64_t queueNs =
-        inbound.receivedAtNs > 0
-            ? obs::EventTracer::nowNs() - inbound.receivedAtNs
-            : 0;
+  {
     std::scoped_lock lock(mutex_);
     try {
-      handleMessage(inbound.from, inbound.message, queueNs, out, done);
+      handleMessage(from, message, out, done);
     } catch (const Error& e) {
       metrics_.droppedMessages.inc();
       PRIVTOPK_LOG_WARN("service ", self_, ": dropped message for query ",
-                        key, ": ", e.what());
+                        queryIdOf(message), ": ", e.what());
     }
   }
+  drain(out, done);
+}
+
+void NodeService::drain(std::vector<Outbound>& out,
+                        std::deque<Completion>& done) {
   // Flush sends before applying each completion: a finished query's final
   // forward (and a merge delegate's dissemination) must leave while the
   // state is still registered, or the successor resolution would fail.
@@ -405,9 +309,9 @@ void NodeService::maintain() {
   obs::updateProcessMetrics();
   const auto now = std::chrono::steady_clock::now();
   std::vector<Outbound> out;
-  std::size_t releasedSlots = 0;
   {
     std::scoped_lock lock(mutex_);
+    std::size_t releasedSlots = 0;
     for (auto it = active_.begin(); it != active_.end();) {
       QueryState& state = it->second;
       const bool stale = now - state.registeredAt >= options_.staleAfter;
@@ -423,10 +327,7 @@ void NodeService::maintain() {
           state.promise.set_exception(std::make_exception_ptr(
               TransportError("query timed out waiting for the ring")));
         }
-        if (state.admitted) {
-          state.admitted = false;
-          ++releasedSlots;
-        }
+        if (state.admitted) ++releasedSlots;
         if (state.isParent) {
           mergeParents_.erase(state.mergeId);
           stashed_.erase(it->first);
@@ -450,8 +351,18 @@ void NodeService::maintain() {
       }
       ++it;
     }
+    for (std::size_t i = 0; i < releasedSlots; ++i) releaseInflightSlot(out);
+    // Merge traffic whose parent never registered here.
+    std::erase_if(stashed_, [&](const auto& entry) {
+      if (active_.contains(entry.first) ||
+          now - entry.second.since < options_.staleAfter) {
+        return false;
+      }
+      mergeParents_.erase(protocol::mergeQueryId(entry.first));
+      metrics_.droppedMessages.inc(entry.second.messages.size());
+      return true;
+    });
   }
-  for (std::size_t i = 0; i < releasedSlots; ++i) releaseInflightSlot();
   flushOutbound(out);
 }
 
@@ -584,7 +495,7 @@ bool NodeService::repairAfterDeadSuccessor(QueryState& state, NodeId dead,
                net::encodeMessage(net::RingRepair{
                    state.descriptor.queryId, dead, next,
                    emitServiceSpan(state.traceCtx, "repair",
-                                   state.descriptor.queryId, 0, t0, 0)}),
+                                   state.descriptor.queryId, 0, t0)}),
                next, true});
   return true;
 }
@@ -615,27 +526,28 @@ std::future<TopKVector> NodeService::initiate(QueryDescriptor descriptor,
     throw ConfigError("NodeService::initiate: initiator must be first on "
                       "the ring");
   }
-  if (!running_.load()) {
-    throw ConfigError("NodeService::initiate: service is not running");
-  }
-  {
-    std::scoped_lock lock(mutex_);
-    if (active_.contains(descriptor.queryId) ||
-        completed_.contains(descriptor.queryId)) {
-      throw ConfigError("NodeService::initiate: duplicate query id");
-    }
-  }
-
   Admission admission;
   admission.descriptor = std::move(descriptor);
   admission.ringOrder = std::move(ringOrder);
   std::future<TopKVector> future = admission.promise.get_future();
+  std::vector<Outbound> out;
   {
-    std::scoped_lock lock(schedMutex_);
-    if (pendingIds_.contains(admission.descriptor.queryId)) {
+    std::scoped_lock lock(mutex_);
+    if (!running_.load()) {
+      throw ConfigError("NodeService::initiate: service is not running");
+    }
+    const std::uint64_t queryId = admission.descriptor.queryId;
+    if (active_.contains(queryId) || completed_.contains(queryId) ||
+        std::any_of(admissionQueue_.begin(), admissionQueue_.end(),
+                    [&](const Admission& queued) {
+                      return queued.descriptor.queryId == queryId;
+                    })) {
       throw ConfigError("NodeService::initiate: duplicate query id");
     }
-    if (admissionQueue_.size() >= options_.maxQueuedInitiations) {
+    if (inflightInitiations_ < options_.maxInflightInitiations) {
+      // A free slot means an empty queue: every slot release drains it.
+      admit(std::move(admission), out);
+    } else if (admissionQueue_.size() >= options_.maxQueuedInitiations) {
       metrics_.admissionsRejected.inc();
       // Typed shedding: a full admission queue means THIS node is healthy
       // but saturated - clients must back off, not fail over as they would
@@ -649,34 +561,32 @@ std::future<TopKVector> NodeService::initiate(QueryDescriptor descriptor,
               : 50.0;
       const double hintMs = std::clamp(
           meanMs * static_cast<double>(admissionQueue_.size() + 1) /
-              static_cast<double>(std::max<std::size_t>(
-                  1, options_.maxInflightInitiations)),
+              static_cast<double>(options_.maxInflightInitiations),
           1.0,
           std::chrono::duration<double, std::milli>(options_.staleAfter)
               .count());
       throw OverloadError(
           "NodeService::initiate: admission queue is full",
           std::chrono::milliseconds(static_cast<std::int64_t>(hintMs)));
+    } else {
+      admissionQueue_.push_back(std::move(admission));
+      metrics_.queueDepth.add(1);
     }
-    pendingIds_.insert(admission.descriptor.queryId);
-    admissionQueue_.push_back(std::move(admission));
-    metrics_.queueDepth.add(1);
   }
-  schedCv_.notify_one();
+  flushOutbound(out);
   return future;
 }
 
-void NodeService::performInitiation(Admission& admission,
-                                    std::vector<Outbound>& out) {
-  const std::uint64_t queryId = admission.descriptor.queryId;
+void NodeService::admit(Admission admission, std::vector<Outbound>& out) {
+  ++inflightInitiations_;
+  metrics_.inflightQueries.add(1);
   try {
-    {
-      std::scoped_lock lock(mutex_);
-      if (active_.contains(queryId) || completed_.contains(queryId)) {
-        throw ConfigError("NodeService::initiate: duplicate query id");
-      }
-    }
     const QueryDescriptor& descriptor = admission.descriptor;
+    // A queued id may have been taken while it waited.
+    if (active_.contains(descriptor.queryId) ||
+        completed_.contains(descriptor.queryId)) {
+      throw ConfigError("NodeService::initiate: duplicate query id");
+    }
     const bool grouped =
         !descriptor.isAggregate() && descriptor.groupSize >= 3 &&
         admission.ringOrder.size() / descriptor.groupSize >= 3;
@@ -685,25 +595,31 @@ void NodeService::performInitiation(Admission& admission,
     } else {
       beginFlat(admission, out);
     }
-    std::scoped_lock lock(schedMutex_);
-    pendingIds_.erase(queryId);
   } catch (...) {
     try {
       admission.promise.set_exception(std::current_exception());
     } catch (const std::future_error&) {
-      // stop() settled it already.
+      // The query registered before failing and owns the promise.
     }
-    {
-      std::scoped_lock lock(schedMutex_);
-      pendingIds_.erase(queryId);
-    }
-    releaseInflightSlot();
+    --inflightInitiations_;
+    metrics_.inflightQueries.sub(1);
+  }
+}
+
+void NodeService::releaseInflightSlot(std::vector<Outbound>& out) {
+  --inflightInitiations_;
+  metrics_.inflightQueries.sub(1);
+  while (running_.load() && !admissionQueue_.empty() &&
+         inflightInitiations_ < options_.maxInflightInitiations) {
+    Admission next = std::move(admissionQueue_.front());
+    admissionQueue_.pop_front();
+    metrics_.queueDepth.sub(1);
+    admit(std::move(next), out);
   }
 }
 
 void NodeService::beginFlat(Admission& admission, std::vector<Outbound>& out) {
   const QueryDescriptor descriptor = admission.descriptor;
-  std::scoped_lock lock(mutex_);
   QueryState state;
   state.descriptor = descriptor;
   state.initiator = true;
@@ -765,8 +681,12 @@ void NodeService::beginGrouped(Admission& admission,
   Rng layoutRng(protocol::groupLayoutSeed(seed_, parentId));
   const protocol::GroupLayout layout = protocol::makeGroupLayout(
       admission.ringOrder, self_, descriptor.groupSize, layoutRng);
-
-  std::scoped_lock lock(mutex_);
+  // Read the local input before registering anything, so a schema error
+  // fails the initiation without leaving a parent entry behind.
+  QueryDescriptor sub = descriptor;
+  sub.queryId = protocol::groupSubQueryId(parentId, 0);
+  sub.groupSize = 0;
+  TopKVector localInput = LocalParty(*db_).localInput(sub);
   const auto now = std::chrono::steady_clock::now();
 
   // Parent entry: owns the initiator promise and tracks the two phases.
@@ -805,20 +725,16 @@ void NodeService::beginGrouped(Admission& admission,
   // Phase-1 fan-out: hand each remote group's announce straight to its
   // delegate, which forwards it and opens the ring (delegated start).
   for (std::size_t g = 1; g < layout.groups.size(); ++g) {
-    QueryDescriptor sub = descriptor;
-    sub.queryId = protocol::groupSubQueryId(parentId, g);
-    sub.groupSize = 0;
+    QueryDescriptor remote = sub;
+    remote.queryId = protocol::groupSubQueryId(parentId, g);
     out.push_back(Outbound{
-        sub.queryId,
-        net::encodeMessage(announceFor(sub, layout.groups[g], parentId, 1,
+        remote.queryId,
+        net::encodeMessage(announceFor(remote, layout.groups[g], parentId, 1,
                                        groupSizeWire, rootCtx)),
         layout.groups[g].front(), true});
   }
 
   // Our own group's phase-1 ring, with this node as its delegate.
-  QueryDescriptor sub = descriptor;
-  sub.queryId = protocol::groupSubQueryId(parentId, 0);
-  sub.groupSize = 0;
   QueryState state;
   state.descriptor = sub;
   state.initiator = true;
@@ -828,10 +744,9 @@ void NodeService::beginGrouped(Admission& admission,
   state.registeredAt = now;
   state.lastActivity = now;
   state.traceCtx = rootCtx;
-  const LocalParty party(*db_);
   Rng phaseRng(protocol::groupPhaseSeed(seed_, parentId, 1));
-  buildParticipant(state, sub, layout.groups.front(),
-                   party.localInput(sub), phaseRng);
+  buildParticipant(state, sub, layout.groups.front(), std::move(localInput),
+                   phaseRng);
   const auto [it, inserted] = active_.emplace(sub.queryId, std::move(state));
   (void)inserted;
   metrics_.activeQueries.add(1);
@@ -888,18 +803,17 @@ void NodeService::beginRounds(QueryState& state, std::vector<Outbound>& out) {
 // Message handlers (mutex_ held).
 
 void NodeService::handleMessage(NodeId from, const net::Message& message,
-                                std::int64_t queueNs,
                                 std::vector<Outbound>& out,
                                 std::deque<Completion>& done) {
   if (const auto* announce = std::get_if<net::QueryAnnounce>(&message)) {
-    onAnnounce(*announce, queueNs, out, done);
+    onAnnounce(*announce, out, done);
   } else if (const auto* token = std::get_if<net::RoundToken>(&message)) {
-    onRoundToken(from, *token, queueNs, out, done);
+    onRoundToken(from, *token, out, done);
   } else if (const auto* sum = std::get_if<net::SumToken>(&message)) {
-    onSumToken(from, *sum, queueNs, out, done);
+    onSumToken(from, *sum, out, done);
   } else if (const auto* result =
                  std::get_if<net::ResultAnnouncement>(&message)) {
-    onResult(*result, queueNs, out, done);
+    onResult(*result, out, done);
   } else if (const auto* repair = std::get_if<net::RingRepair>(&message)) {
     onRingRepair(*repair, out);
   } else {
@@ -909,7 +823,7 @@ void NodeService::handleMessage(NodeId from, const net::Message& message,
 }
 
 void NodeService::onAnnounce(const net::QueryAnnounce& announce,
-                             std::int64_t queueNs, std::vector<Outbound>& out,
+                             std::vector<Outbound>& out,
                              std::deque<Completion>& done) {
   (void)done;
   if (active_.contains(announce.queryId) ||
@@ -934,7 +848,7 @@ void NodeService::onAnnounce(const net::QueryAnnounce& announce,
     throw ProtocolError("QueryAnnounce: aggregate queries cannot be grouped");
   }
   if (announce.phase == 2) {
-    onMergeAnnounce(announce, descriptor, queueNs, out);
+    onMergeAnnounce(announce, descriptor, out);
     return;
   }
 
@@ -970,7 +884,7 @@ void NodeService::onAnnounce(const net::QueryAnnounce& announce,
   // One "announce_handled" span per hop; the forwarded announce carries
   // the child context so the next hop chains off this one.
   const obs::TraceContext child = emitServiceSpan(
-      announce.ctx, "announce_handled", announce.queryId, 0, t0, queueNs);
+      announce.ctx, "announce_handled", announce.queryId, 0, t0);
   it->second.traceCtx = child;
   if (announce.phase == 1) registerParentFollower(announce, descriptor, child);
   net::QueryAnnounce forwarded = announce;  // keep the announce circling
@@ -1004,35 +918,46 @@ void NodeService::registerParentFollower(const net::QueryAnnounce& announce,
   active_.emplace(parentId, std::move(parent));
   metrics_.participated.inc();
   metrics_.activeQueries.add(1);
+  // Merge traffic stashed before now passes to the parent: it no longer
+  // expires on its own, and onGroupPhaseDone replays it once the group
+  // result exists (nothing in it can run before that).
 }
 
 void NodeService::onMergeAnnounce(const net::QueryAnnounce& announce,
                                   const QueryDescriptor& descriptor,
-                                  std::int64_t queueNs,
                                   std::vector<Outbound>& out) {
   const std::int64_t t0 =
       announce.ctx.active() ? obs::EventTracer::nowNs() : 0;
+  if (announce.queryId != protocol::mergeQueryId(announce.parentQueryId)) {
+    throw ProtocolError("QueryAnnounce: unexpected merge query id");
+  }
   const auto parentIt = active_.find(announce.parentQueryId);
+  if (parentIt == active_.end() &&
+      !completed_.contains(announce.parentQueryId)) {
+    // The previous delegate's merge announce can overtake the
+    // coordinator's phase-1 announce on a slower link.  Hold it, and map
+    // the merge id so the merge tokens that follow are held too.
+    if (!stashed_.contains(announce.parentQueryId) &&
+        stashed_.size() >= kMaxStashedParents) {
+      metrics_.droppedMessages.inc();
+      return;
+    }
+    mergeParents_[announce.queryId] = announce.parentQueryId;
+    (void)maybeStashMergeTraffic(announce.queryId, net::Message{announce});
+    return;
+  }
   if (parentIt == active_.end() || !parentIt->second.isParent) {
     metrics_.droppedMessages.inc();
     PRIVTOPK_LOG_WARN("service ", self_,
-                      ": merge announce for unknown grouped query ",
+                      ": merge announce for a retired or non-grouped query ",
                       announce.parentQueryId);
     return;
   }
   QueryState& parent = parentIt->second;
-  if (announce.queryId != parent.mergeId) {
-    throw ProtocolError("QueryAnnounce: unexpected merge query id");
-  }
   if (!parent.groupRaw) {
     // Our own group has not finished phase 1 yet; hold the announce until
     // the group result (this delegate's merge-ring input) exists.
-    auto& stash = stashed_[announce.parentQueryId];
-    if (stash.size() >= kStashCap) {
-      metrics_.droppedMessages.inc();
-      return;
-    }
-    stash.push_back(net::Message{announce});
+    (void)maybeStashMergeTraffic(announce.queryId, net::Message{announce});
     return;
   }
 
@@ -1053,7 +978,7 @@ void NodeService::onMergeAnnounce(const net::QueryAnnounce& announce,
   metrics_.participated.inc();
   metrics_.activeQueries.add(1);
   const obs::TraceContext child = emitServiceSpan(
-      announce.ctx, "announce_handled", announce.queryId, 0, t0, queueNs);
+      announce.ctx, "announce_handled", announce.queryId, 0, t0);
   it->second.traceCtx = child;
   net::QueryAnnounce forwarded = announce;
   forwarded.ctx = child;
@@ -1061,7 +986,6 @@ void NodeService::onMergeAnnounce(const net::QueryAnnounce& announce,
 }
 
 void NodeService::onRoundToken(NodeId from, const net::RoundToken& token,
-                               std::int64_t queueNs,
                                std::vector<Outbound>& out,
                                std::deque<Completion>& done) {
   const auto it = active_.find(token.queryId);
@@ -1086,8 +1010,7 @@ void NodeService::onRoundToken(NodeId from, const net::RoundToken& token,
   // the state context tracks the chain for service-side spans (repair).
   if (token.ctx.active()) state.traceCtx = token.ctx;
   const protocol::core::Actions actions =
-      state.participant->onToken(token.round, token.vector, token.ctx,
-                                 queueNs);
+      state.participant->onToken(token.round, token.vector, token.ctx);
   if (actions.duplicate) {
     // A retransmitted token we already processed: pass-once semantics.
     metrics_.duplicatesDropped.inc();
@@ -1117,7 +1040,7 @@ void NodeService::onRoundToken(NodeId from, const net::RoundToken& token,
 }
 
 void NodeService::onSumToken(NodeId from, const net::SumToken& token,
-                             std::int64_t queueNs, std::vector<Outbound>& out,
+                             std::vector<Outbound>& out,
                              std::deque<Completion>& done) {
   const auto it = active_.find(token.queryId);
   if (it == active_.end()) {
@@ -1148,7 +1071,7 @@ void NodeService::onSumToken(NodeId from, const net::SumToken& token,
           static_cast<std::uint64_t>(token.sums[i]) - state.masks[i]);
     }
     state.traceCtx = emitServiceSpan(token.ctx, "sum_pass", token.queryId,
-                                     token.round, t0, queueNs);
+                                     token.round, t0);
     queueSend(state,
               net::ResultAnnouncement{token.queryId, totals, state.traceCtx},
               out);
@@ -1162,8 +1085,8 @@ void NodeService::onSumToken(NodeId from, const net::SumToken& token,
         static_cast<std::uint64_t>(sums[i]) +
         static_cast<std::uint64_t>(state.addends[i]));
   }
-  state.traceCtx = emitServiceSpan(token.ctx, "sum_pass", token.queryId,
-                                   token.round, t0, queueNs);
+  state.traceCtx =
+      emitServiceSpan(token.ctx, "sum_pass", token.queryId, token.round, t0);
   queueSend(state,
             net::SumToken{token.queryId, token.round, std::move(sums),
                           state.traceCtx},
@@ -1171,7 +1094,7 @@ void NodeService::onSumToken(NodeId from, const net::SumToken& token,
 }
 
 void NodeService::onResult(const net::ResultAnnouncement& result,
-                           std::int64_t queueNs, std::vector<Outbound>& out,
+                           std::vector<Outbound>& out,
                            std::deque<Completion>& done) {
   const auto it = active_.find(result.queryId);
   if (it == active_.end()) {
@@ -1199,7 +1122,7 @@ void NodeService::onResult(const net::ResultAnnouncement& result,
   // final result on its group ring: forward once before completing.
   const std::int64_t t0 = result.ctx.active() ? obs::EventTracer::nowNs() : 0;
   state.traceCtx = emitServiceSpan(result.ctx, "result_dissemination",
-                                   result.queryId, 0, t0, queueNs);
+                                   result.queryId, 0, t0);
   net::ResultAnnouncement forwarded = result;
   forwarded.ctx = state.traceCtx;
   queueSend(state, forwarded, out);
@@ -1268,7 +1191,7 @@ void NodeService::onRingRepair(const net::RingRepair& repair,
   net::RingRepair forwarded = repair;
   forwarded.ctx = emitServiceSpan(
       repair.ctx.active() ? repair.ctx : state.traceCtx, "repair",
-      repair.queryId, 0, t0, 0);
+      repair.queryId, 0, t0);
   out.push_back(Outbound{repair.queryId,
                          net::encodeMessage(net::Message{forwarded}),
                          successorFor(state), true});
@@ -1279,16 +1202,17 @@ void NodeService::onRingRepair(const net::RingRepair& repair,
 
 bool NodeService::maybeStashMergeTraffic(std::uint64_t queryId,
                                          const net::Message& message) {
+  // Entries exist only for a live parent or a stash awaiting one.
   const auto parentRef = mergeParents_.find(queryId);
   if (parentRef == mergeParents_.end()) return false;
-  const auto parentIt = active_.find(parentRef->second);
-  if (parentIt == active_.end() || !parentIt->second.isParent) return false;
-  auto& stash = stashed_[parentRef->second];
-  if (stash.size() >= kStashCap) {
+  const auto [it, created] = stashed_.try_emplace(parentRef->second);
+  Stash& stash = it->second;
+  if (created) stash.since = std::chrono::steady_clock::now();
+  if (stash.messages.size() >= kStashCap) {
     metrics_.droppedMessages.inc();
     return true;
   }
-  stash.push_back(message);
+  stash.messages.push_back(message);
   return true;
 }
 
@@ -1299,14 +1223,14 @@ void NodeService::replayStashed(std::uint64_t parentId,
   if (it == stashed_.end()) return;
   // Extract before replaying: a message that still cannot be processed
   // re-stashes itself instead of looping.
-  std::vector<net::Message> pending = std::move(it->second);
+  std::vector<net::Message> pending = std::move(it->second.messages);
   stashed_.erase(it);
   for (const net::Message& message : pending) {
     try {
       // The stash does not record senders; no ring contains the sentinel,
       // so a replayed message can never trigger a completed-result reply
       // (its query is live - the stash dies with the parent otherwise).
-      handleMessage(kNoSender, message, 0, out, done);
+      handleMessage(kNoSender, message, out, done);
     } catch (const Error& e) {
       metrics_.droppedMessages.inc();
       PRIVTOPK_LOG_WARN("service ", self_, ": dropped stashed message: ",
@@ -1332,7 +1256,7 @@ void NodeService::onGroupPhaseDone(
   // Phase span covering this node's whole group ring run; subsequent
   // merge-phase spans chain off it.
   parent.traceCtx = emitServiceSpan(parent.traceCtx, "group_phase", parentId,
-                                    1, toTraceNs(startedAt), 0);
+                                    1, toTraceNs(startedAt));
   if (parent.isCoordinator) startMergePhase(parent, out);
   replayStashed(parentId, out, done);
 }
@@ -1382,7 +1306,7 @@ void NodeService::onMergePhaseDone(
       "event", "merge_phase_done",
       {{"query_id", static_cast<std::int64_t>(parentId)}, {"node", self_}});
   parent.traceCtx = emitServiceSpan(parent.traceCtx, "merge_phase", parentId,
-                                    2, toTraceNs(startedAt), 0);
+                                    2, toTraceNs(startedAt));
   // Disseminate the final result around this delegate's group ring; every
   // member completes the parent on receipt (onResult's forward-once
   // branch), and this node completes it right here.
@@ -1468,7 +1392,7 @@ void NodeService::applyCompletion(Completion completion,
   active_.erase(it);
   completedCv_.notify_all();
 
-  if (releaseSlot) releaseInflightSlot();
+  if (releaseSlot) releaseInflightSlot(out);
   if (phase == 1) {
     onGroupPhaseDone(parentId, std::move(completion.raw), startedAt, out,
                      done);
@@ -1532,8 +1456,7 @@ obs::TraceContext NodeService::emitServiceSpan(const obs::TraceContext& in,
                                                const char* name,
                                                std::uint64_t queryId,
                                                std::uint32_t round,
-                                               std::int64_t startNs,
-                                               std::int64_t queueNs) {
+                                               std::int64_t startNs) {
   if (!in.active()) return in;
   obs::SpanRecord span;
   span.traceId = in.traceId;
@@ -1545,7 +1468,6 @@ obs::TraceContext NodeService::emitServiceSpan(const obs::TraceContext& in,
   span.round = round;
   span.startNs = startNs;
   span.durNs = obs::EventTracer::nowNs() - startNs;
-  span.queueNs = queueNs;
   spanFan_.recordSpan(span);
   return obs::TraceContext{in.traceId, span.spanId};
 }

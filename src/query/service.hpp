@@ -18,14 +18,16 @@
 //     the initiator partitions the ring into group rings that run phase-1
 //     sub-queries in parallel, then merges the group results over a
 //     randomly-delegated phase-2 ring (docs/PROTOCOL.md §6);
-//   * schedules work on a small pool: one receiver thread decodes and
-//     enqueues, workerThreads dispatcher threads drain a keyed run queue
-//     (per-query FIFO order is preserved; distinct queries - including
-//     the group rings of one grouped query - progress in parallel), and
-//     initiations pass through a bounded admission queue with an
-//     in-flight cap (initiate() throws OverloadError - with a retry-after
-//     hint - when the queue is full, distinguishable from a dead link's
-//     TransportError);
+//   * runs one thread per node: the receiver decodes each message and
+//     handles it where it was received, under one state lock, then
+//     flushes its sends (Transport::send never blocks) and applies the
+//     completions it produced.  Initiations pass through a bounded
+//     admission queue with an in-flight cap: initiate() begins a query on
+//     the caller's thread, sending its announce from there, when a slot is
+//     free, queues it otherwise, and throws OverloadError - with a
+//     retry-after hint - when the queue is full, distinguishable from a
+//     dead link's TransportError.  Whichever thread frees a slot begins
+//     the next queued initiation;
 //   * survives fail-stop peer crashes and lost tokens: every node
 //     retransmits its last outbound message when a query stalls, and a
 //     successor that keeps refusing sends is spliced out of the ring
@@ -49,8 +51,11 @@
 // TcpTransport guarantee this), so a query's announce always arrives
 // before its first round token - including delegated-start group rings,
 // where the delegate forwards the announce before emitting its first
-// token.  Retransmission can introduce duplicates; they are suppressed by
-// per-query round tracking.  Malformed or unknown traffic is logged and
+// token.  Links from different senders are not ordered against each
+// other: a delegate can get the previous delegate's merge traffic before
+// the coordinator's phase-1 announce, and holds it until its own group
+// result exists.  Retransmission can introduce duplicates; they are
+// suppressed by per-query round tracking.  Malformed or unknown traffic is logged and
 // dropped - a hostile peer cannot take the service down.
 
 #pragma once
@@ -64,9 +69,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <thread>
-#include <variant>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -109,10 +112,6 @@ struct ServiceOptions {
   /// serves (own steps only - peers' vectors stay private).  Retrieve with
   /// traceOf(); retained traces obey completedCap like results.
   bool captureTraces = false;
-  /// Dispatcher threads draining the keyed run queue.  Messages of one
-  /// query are always processed in arrival order regardless of the count;
-  /// more threads only add cross-query parallelism.
-  std::size_t workerThreads = 2;
   /// Initiations admitted to run concurrently from this node; the rest
   /// wait in the admission queue.
   std::size_t maxInflightInitiations = 8;
@@ -158,24 +157,24 @@ class NodeService {
   NodeService(const NodeService&) = delete;
   NodeService& operator=(const NodeService&) = delete;
 
-  /// Starts the receiver + dispatcher threads.  Idempotent.
+  /// Starts the receiver thread (plus the optional HTTP server).
+  /// Idempotent.
   void start();
 
-  /// Stops the threads and drains deterministically: initiations still in
-  /// the admission queue (or admitted but not yet begun) are rejected with
-  /// TransportError, and the futures of begun-but-unfinished initiations
-  /// fail - the ring cannot progress without this node's threads.  Does
-  /// not shut the transport down.
+  /// Stops the receiver and drains deterministically: initiations still in
+  /// the admission queue are rejected with TransportError, and the futures
+  /// of begun-but-unfinished initiations fail - the ring cannot progress
+  /// without this node's receiver.  Does not shut the transport down.
   void stop();
 
   /// Initiates `descriptor` with this node as the starting node.
   /// `ringOrder` must contain this node first and every participant once.
-  /// The query enters the bounded admission queue (OverloadError with a
-  /// retry-after hint when full - back off and resubmit, the node is
-  /// saturated, not dead; ConfigError when the service is not running); a
-  /// descriptor with
-  /// groupSize >= 3 and enough nodes for three groups runs group-parallel
-  /// (§4.2).  Returns a future resolving to the result in the query's
+  /// With an in-flight slot free the query begins on the caller's thread,
+  /// which sends the announce; otherwise it waits in the bounded admission
+  /// queue (OverloadError with a retry-after hint when full - back off and
+  /// resubmit, the node is saturated, not dead; ConfigError when the
+  /// service is not running).  A descriptor with groupSize >= 3 and enough
+  /// nodes for three groups runs group-parallel (§4.2).  Returns a future resolving to the result in the query's
   /// natural presentation order.
   [[nodiscard]] std::future<TopKVector> initiate(QueryDescriptor descriptor,
                                                  std::vector<NodeId> ringOrder);
@@ -304,18 +303,17 @@ class NodeService {
     bool aborted = false;
   };
 
-  /// A queued initiation (initiate() hands the promise over; the dispatch
-  /// worker that runs the admission registers the query and sends the
-  /// announce).
+  /// An initiation waiting for an in-flight slot (initiate() hands the
+  /// promise over; whichever thread frees a slot begins it).
   struct Admission {
     QueryDescriptor descriptor;
     std::vector<NodeId> ringOrder;
     std::promise<TopKVector> promise;
   };
 
-  /// A send recorded under the state lock and performed outside it (the
-  /// transport may block; holding mutex_ across sends would serialize all
-  /// queries behind one slow link).
+  /// A send recorded under the state lock and performed outside it, so the
+  /// HTTP endpoint and initiating callers are not held behind transport
+  /// work.
   struct Outbound {
     std::uint64_t queryId = 0;
     Bytes wire;
@@ -342,55 +340,40 @@ class NodeService {
     std::vector<NodeId> ring;
   };
 
-  /// A decoded message plus its transport-level sender (the sender is
-  /// needed to answer retransmissions for already-retired queries).
-  struct Inbound {
-    NodeId from = 0;
-    net::Message message;
-    /// Receiver-thread timestamp (EventTracer::nowNs); the dispatcher
-    /// derives the scheduler queue wait recorded on spans from it.
-    std::int64_t receivedAtNs = 0;
-  };
-
-  using WorkItem = std::variant<Inbound, Admission>;
-
-  // Threads.
   void receiveLoop();
-  void dispatchLoop();
 
-  // Keyed run queue (schedMutex_): per-query serial, cross-query parallel.
-  void enqueueWork(std::uint64_t key, WorkItem item);
-  [[nodiscard]] std::optional<std::pair<std::uint64_t, WorkItem>> popWork();
-  void finishKey(std::uint64_t key);
-  /// Moves queued admissions into the run queue while in-flight slots are
-  /// free.  schedMutex_ must be held.
-  void admitPending();
-  void releaseInflightSlot();
+  /// Handles one received message under mutex_, then drains its sends and
+  /// completions.
+  void handleInbound(NodeId from, const net::Message& message);
+  /// Flushes `out`, applying each completion in `done` (which may queue
+  /// more sends and complete more queries) until both are empty.
+  /// mutex_ must NOT be held.
+  void drain(std::vector<Outbound>& out, std::deque<Completion>& done);
 
-  /// Processes one work item: handle/initiate, flush sends, apply
-  /// completions (which may queue more sends) until quiescent.
-  void runWorkItem(std::uint64_t key, WorkItem& item);
+  /// Returns an in-flight slot and begins queued admissions while slots
+  /// are free; their sends join `out`.  mutex_ held.
+  void releaseInflightSlot(std::vector<Outbound>& out);
+  /// Takes an in-flight slot and begins `admission`; a failed initiation
+  /// settles its promise and frees the slot again.  mutex_ held.
+  void admit(Admission admission, std::vector<Outbound>& out);
 
   /// Stale-query GC + retransmission deadlines + aborted-query sweep.
   void maintain();
 
   // Message handlers.  mutex_ held; sends are queued on `out`, finished
-  // queries on `done`.  `queueNs` is the scheduler queue wait of the
-  // message being handled (recorded on emitted spans; 0 for replays).
+  // queries on `done`.
   void handleMessage(NodeId from, const net::Message& message,
-                     std::int64_t queueNs, std::vector<Outbound>& out,
-                     std::deque<Completion>& done);
-  void onAnnounce(const net::QueryAnnounce& announce, std::int64_t queueNs,
+                     std::vector<Outbound>& out, std::deque<Completion>& done);
+  void onAnnounce(const net::QueryAnnounce& announce,
                   std::vector<Outbound>& out, std::deque<Completion>& done);
   void onMergeAnnounce(const net::QueryAnnounce& announce,
-                       const QueryDescriptor& descriptor, std::int64_t queueNs,
+                       const QueryDescriptor& descriptor,
                        std::vector<Outbound>& out);
   void onRoundToken(NodeId from, const net::RoundToken& token,
-                    std::int64_t queueNs, std::vector<Outbound>& out,
-                    std::deque<Completion>& done);
-  void onSumToken(NodeId from, const net::SumToken& token, std::int64_t queueNs,
+                    std::vector<Outbound>& out, std::deque<Completion>& done);
+  void onSumToken(NodeId from, const net::SumToken& token,
                   std::vector<Outbound>& out, std::deque<Completion>& done);
-  void onResult(const net::ResultAnnouncement& result, std::int64_t queueNs,
+  void onResult(const net::ResultAnnouncement& result,
                 std::vector<Outbound>& out, std::deque<Completion>& done);
   void onRingRepair(const net::RingRepair& repair, std::vector<Outbound>& out);
   /// Answers a token for a query this node already retired by replaying
@@ -401,8 +384,7 @@ class NodeService {
   bool replayCompletedResult(std::uint64_t queryId, NodeId from,
                              std::vector<Outbound>& out);
 
-  // Initiation (runs on a dispatch worker).
-  void performInitiation(Admission& admission, std::vector<Outbound>& out);
+  // Initiation (mutex_ held).
   void beginFlat(Admission& admission, std::vector<Outbound>& out);
   void beginGrouped(Admission& admission, std::vector<Outbound>& out);
 
@@ -420,7 +402,8 @@ class NodeService {
                         std::vector<Outbound>& out,
                         std::deque<Completion>& done);
   /// Queues merge-phase traffic that raced ahead of this delegate's own
-  /// phase-1 completion; returns false when the message is not stashable.
+  /// phase-1 registration or completion; returns false when the message
+  /// is not stashable.
   bool maybeStashMergeTraffic(std::uint64_t queryId,
                               const net::Message& message);
   void replayStashed(std::uint64_t parentId, std::vector<Outbound>& out,
@@ -478,8 +461,7 @@ class NodeService {
   /// untouched (no span, no cost).
   obs::TraceContext emitServiceSpan(const obs::TraceContext& in,
                                     const char* name, std::uint64_t queryId,
-                                    std::uint32_t round, std::int64_t startNs,
-                                    std::int64_t queueNs);
+                                    std::uint32_t round, std::int64_t startNs);
 
   /// Serves one request of the embedded HTTP endpoint.
   [[nodiscard]] net::HttpResponse handleHttp(const net::HttpRequest& request);
@@ -532,24 +514,21 @@ class NodeService {
   // Insertion order of completed_ entries, oldest first (LRU eviction).
   std::deque<std::uint64_t> completedOrder_;
   /// merge query id -> parent query id, for stashing merge traffic that
-  /// arrives before this delegate finished its phase-1 run.
+  /// arrives before this delegate finished its phase-1 run - or before it
+  /// even registered the parent.
   std::map<std::uint64_t, std::uint64_t> mergeParents_;
-  /// parent query id -> merge traffic waiting for the group result.
-  std::map<std::uint64_t, std::vector<net::Message>> stashed_;
+  /// Merge traffic waiting for a parent's group result.
+  struct Stash {
+    /// When the first message was stashed; a stash whose parent never
+    /// registers expires after staleAfter.
+    std::chrono::steady_clock::time_point since;
+    std::vector<net::Message> messages;
+  };
+  /// parent query id -> stash.
+  std::map<std::uint64_t, Stash> stashed_;
 
-  // Scheduler state.  Lock order: never hold mutex_ and schedMutex_
-  // together (each is always taken and released independently).
-  mutable std::mutex schedMutex_;
-  std::condition_variable schedCv_;
-  std::map<std::uint64_t, std::deque<WorkItem>> inbox_;
-  std::set<std::uint64_t> readyKeys_;  // non-empty inbox, not being run
-  std::set<std::uint64_t> busyKeys_;
   std::deque<Admission> admissionQueue_;
-  /// Ids queued or admitted but not yet registered in active_, so
-  /// initiate() rejects duplicates deterministically before the dispatch
-  /// worker runs the admission.
-  std::set<std::uint64_t> pendingIds_;
-  std::atomic<std::size_t> inflightInitiations_{0};
+  std::size_t inflightInitiations_ = 0;
 
   // Tracing + scrape endpoint.
   std::unique_ptr<obs::SpanRingBuffer> spanBuffer_;
@@ -557,7 +536,7 @@ class NodeService {
   std::unique_ptr<net::HttpServer> http_;
 
   std::thread receiver_;
-  std::vector<std::thread> workers_;
+  /// Written under mutex_; read lock-free by the receive loop.
   std::atomic<bool> running_{false};
 };
 

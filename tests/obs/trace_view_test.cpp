@@ -12,8 +12,7 @@ namespace privtopk::obs {
 namespace {
 
 SpanRecord make(std::uint64_t spanId, std::uint64_t parent, const char* name,
-                std::uint32_t node, std::int64_t startNs, std::int64_t durNs,
-                std::int64_t queueNs = 0) {
+                std::uint32_t node, std::int64_t startNs, std::int64_t durNs) {
   SpanRecord s;
   s.traceId = 99;
   s.spanId = spanId;
@@ -24,13 +23,12 @@ SpanRecord make(std::uint64_t spanId, std::uint64_t parent, const char* name,
   s.round = 0;
   s.startNs = startNs;
   s.durNs = durNs;
-  s.queueNs = queueNs;
   return s;
 }
 
 TEST(SpanJson, RenderParseRoundTrip) {
   SpanRecord s = make(0xffffffffffffff01ull, 0xffffffffffffff02ull,
-                      "ring_round", 3, 123456789, 4200, 17);
+                      "ring_round", 3, 123456789, 4200);
   s.traceId = 0xfedcba9876543210ull;  // needs the full 64-bit range
   s.round = 5;
   const auto parsed = parseSpanJsonLine(renderSpanJson(s));
@@ -80,7 +78,7 @@ TEST(Timeline, AlignsSkewedClocksAlongCausalEdges) {
   const std::int64_t skew = 1'000'000'000;
   const std::vector<SpanRecord> spans{
       make(1, 0, "query", 0, 1000, 5000),
-      make(2, 1, "announce_handled", 1, skew + 777, 100, /*queueNs=*/50),
+      make(2, 1, "announce_handled", 1, skew + 777, 100),
       make(3, 2, "ring_round", 1, skew + 2000, 80),
   };
   const TraceTimeline timeline = buildTimeline(spans, 99);
@@ -88,10 +86,10 @@ TEST(Timeline, AlignsSkewedClocksAlongCausalEdges) {
   EXPECT_TRUE(timeline.orphanSpanIds.empty());
   EXPECT_EQ(timeline.queryId, 1u);
 
-  // Handshake: child aligned start minus its queue wait == parent end.
-  // "query" starts at 1000 and is the root, so its end is 6000.
+  // Handshake: child aligned start == parent end.  "query" starts at
+  // 1000 and is the root, so its end is 6000.
   const std::int64_t offset = timeline.clockOffsetNs.at(1);
-  EXPECT_EQ(skew + 777 + offset - 50, 1000 + 5000);
+  EXPECT_EQ(skew + 777 + offset, 1000 + 5000);
   // The second span on node 1 reuses the same fixed offset.
   for (const TimelineSpan& entry : timeline.spans) {
     if (entry.span.spanId == 3) {
@@ -134,17 +132,16 @@ TEST(Timeline, ReportsOrphansAndSurvivesThem) {
   EXPECT_NE(out.find("orphan spans: 1"), std::string::npos);
 }
 
-TEST(Timeline, PhaseBreakdownAggregatesQueueAndGaps) {
+TEST(Timeline, PhaseBreakdownAggregatesComputeAndGaps) {
   const std::vector<SpanRecord> spans{
       make(1, 0, "query", 0, 0, 1000),
-      make(2, 1, "ring_round", 0, 300, 100, /*queueNs=*/40),
-      make(3, 2, "ring_round", 0, 500, 100, /*queueNs=*/60),
+      make(2, 1, "ring_round", 0, 300, 100),
+      make(3, 2, "ring_round", 0, 500, 100),
   };
   const TraceTimeline timeline = buildTimeline(spans, 99);
   const PhaseStats& rounds = timeline.phases.at("ring_round");
   EXPECT_EQ(rounds.count, 2u);
   EXPECT_EQ(rounds.computeNs, 200);
-  EXPECT_EQ(rounds.queueNs, 100);
   // Span 3 starts 100ns after span 2 ends; span 2's gap to the root is
   // positive too (300 - 0 is inside the parent, so clamped at >= 0).
   EXPECT_EQ(timeline.phases.at("ring_round").gapNs, 100);

@@ -1,7 +1,8 @@
 // NodeService fault-tolerance tests: retransmission of lost tokens, ring
 // repair around crashed and unreachable peers (over both InProc and real
-// TCP transports), peer kill + relaunch mid-query, and the bounded
-// completed-result cache.
+// TCP transports), peer kill + relaunch mid-query, grouped merge traffic
+// overtaking a slow phase-1 announce, and the bounded completed-result
+// cache.
 
 #include "query/service.hpp"
 
@@ -9,11 +10,15 @@
 
 #include <algorithm>
 #include <numeric>
+#include <thread>
 
 #include "data/generator.hpp"
 #include "net/fault.hpp"
 #include "net/inproc.hpp"
+#include "net/shaping.hpp"
 #include "net/tcp.hpp"
+#include "obs/metrics.hpp"
+#include "protocol/group.hpp"
 
 namespace privtopk::query {
 namespace {
@@ -279,6 +284,99 @@ TEST(NodeServiceFaults, TcpPeerKillAndRelaunchMidQuery) {
   auto second = cluster.services[0]->initiate(descriptor(7), fullRing(4));
   ASSERT_EQ(second.wait_for(30s), std::future_status::ready);
   EXPECT_EQ(second.get(), survivorsTopK(cluster.dbs, {0, 1, 2, 3}, 3));
+}
+
+// ---------------------------------------------------------------------------
+// Grouped merge traffic ahead of the phase-1 announce
+// ---------------------------------------------------------------------------
+
+TEST(NodeServiceFaults, MergeTrafficAheadOfPhaseOneAnnounceIsStashed) {
+  // Merge ring [coordinator, D1, D2]: a slow coordinator->D2 link lets
+  // D1's merge announce and merge token reach D2 before the coordinator's
+  // phase-1 announce registers the grouped query there.  D2 must hold
+  // that traffic rather than drop it and wait out a retransmission.
+  constexpr std::size_t kNodes = 9;
+  constexpr std::uint64_t kSeedBase = 1100;
+  QueryDescriptor d = descriptor(4242);
+  d.kind = protocol::ProtocolKind::Naive;
+  d.groupSize = 3;
+  const std::vector<NodeId> ring = fullRing(kNodes);
+  Rng layoutRng(protocol::groupLayoutSeed(kSeedBase, d.queryId));
+  const protocol::GroupLayout layout =
+      protocol::makeGroupLayout(ring, 0, d.groupSize, layoutRng);
+  ASSERT_EQ(layout.mergeRing.size(), 3u);
+  const NodeId d2 = layout.mergeRing[2];
+
+  const auto dbs = makeFleet(kNodes, 51);
+  net::InProcTransport inner(kNodes);
+  net::ShapingTransport shaped(
+      inner, net::ShapingSpec::parse("lat:0->" + std::to_string(d2) + ":200"));
+  const ServiceOptions options;  // retransmitAfter stays at its 1 s default
+  std::vector<std::unique_ptr<NodeService>> services;
+  for (NodeId id = 0; id < kNodes; ++id) {
+    services.push_back(std::make_unique<NodeService>(
+        id, dbs[id], shaped, kSeedBase + id, options));
+    services.back()->start();
+  }
+  auto& retransmits =
+      obs::counter("privtopk.query.retransmits", {{"engine", "service"}});
+  auto& dropped =
+      obs::counter("privtopk.query.dropped_messages", {{"engine", "service"}});
+  const std::uint64_t retransmitsBefore = retransmits.value();
+  const std::uint64_t droppedBefore = dropped.value();
+
+  const auto start = std::chrono::steady_clock::now();
+  auto future = services[0]->initiate(d, ring);
+  ASSERT_EQ(future.wait_for(10s), std::future_status::ready);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(future.get(), survivorsTopK(dbs, ring, 3));
+  EXPECT_LT(elapsed, options.retransmitAfter / 2);
+  EXPECT_EQ(retransmits.value(), retransmitsBefore);
+  EXPECT_EQ(dropped.value(), droppedBefore);
+
+  for (auto& s : services) s->stop();
+  shaped.shutdown();
+}
+
+TEST(NodeServiceFaults, OrphanedMergeStashExpiresAfterStaleAfter) {
+  // Merge traffic for a grouped query whose phase-1 announce never comes
+  // is held, not dropped on arrival, and is dropped once staleAfter passes.
+  const auto dbs = makeFleet(3, 61);
+  net::InProcTransport transport(3);
+  ServiceOptions options;
+  options.staleAfter = 300ms;
+  NodeService service(0, dbs[0], transport, 1300, options);
+  service.start();
+  auto& dropped =
+      obs::counter("privtopk.query.dropped_messages", {{"engine", "service"}});
+  const std::uint64_t droppedBefore = dropped.value();
+
+  constexpr std::uint64_t kParent = 8800;
+  QueryDescriptor merge = descriptor(protocol::mergeQueryId(kParent));
+  merge.kind = protocol::ProtocolKind::Naive;
+  net::QueryAnnounce announce;
+  announce.queryId = merge.queryId;
+  announce.descriptor = merge.encode();
+  announce.ringOrder = {1, 0, 2};
+  announce.parentQueryId = kParent;
+  announce.phase = 2;
+  announce.groupSize = 3;
+  transport.send(1, 0, net::encodeMessage(announce));
+  transport.send(
+      1, 0, net::encodeMessage(net::RoundToken{merge.queryId, 1, {7}, {}}));
+
+  std::this_thread::sleep_for(100ms);
+  EXPECT_EQ(dropped.value(), droppedBefore);  // held, not dropped
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (dropped.value() < droppedBefore + 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(10ms);
+  }
+  EXPECT_EQ(dropped.value(), droppedBefore + 2);  // both expired together
+  EXPECT_EQ(service.activeQueries(), 0u);
+
+  service.stop();
+  transport.shutdown();
 }
 
 // ---------------------------------------------------------------------------

@@ -432,11 +432,9 @@ struct ShapedFederation {
     spec.attribute = "revenue";
     Rng rng(77);
     dbs = data::generateFleet(spec, rng);
-    ServiceOptions options;
-    options.workerThreads = 2;
     for (std::size_t i = 0; i < kNodes; ++i) {
       services.push_back(std::make_unique<NodeService>(
-          static_cast<NodeId>(i), dbs[i], shaped, 600 + i, options));
+          static_cast<NodeId>(i), dbs[i], shaped, 600 + i, ServiceOptions{}));
       services.back()->start();
     }
   }

@@ -1,13 +1,15 @@
-// Concurrency soak for the NodeService scheduler: dozens of overlapping
-// queries over a lossy 7-node in-process cluster must all complete, match
-// a faultless sequential re-run bit-for-bit, and keep their traces
-// isolated.  Also pins the admission-queue backpressure contract and the
-// deterministic stop() drain (labels: soak;slow - see tests/CMakeLists.txt).
+// Concurrency soak for NodeService: dozens of overlapping queries over a
+// lossy 7-node in-process cluster must all complete, match a faultless
+// sequential re-run bit-for-bit, and keep their traces isolated.  Also
+// pins the admission-queue backpressure contract, the deterministic
+// stop() drain, initiate() racing stop(), and a drop-free grouped path
+// (labels: soak;slow - see tests/CMakeLists.txt).
 
 #include "query/service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -18,6 +20,8 @@
 #include "data/generator.hpp"
 #include "net/fault.hpp"
 #include "net/inproc.hpp"
+#include "net/shaping.hpp"
+#include "obs/metrics.hpp"
 
 namespace privtopk::query {
 namespace {
@@ -70,15 +74,20 @@ QueryDescriptor soakDescriptor(std::size_t q) {
   return d;
 }
 
+/// InProc shaped by `shapeSpec` (link latency), fault decorator outermost.
 struct SoakCluster {
   std::vector<data::PrivateDatabase> dbs = makeFleet();
   net::InProcTransport inner{kNodes};
+  std::unique_ptr<net::ShapingTransport> shaped;
   std::unique_ptr<net::FaultInjectingTransport> faulty;
   std::vector<std::unique_ptr<NodeService>> services;
 
-  explicit SoakCluster(const std::string& faultSpec, ServiceOptions options) {
+  SoakCluster(const std::string& faultSpec, ServiceOptions options,
+              const std::string& shapeSpec = "") {
+    shaped = std::make_unique<net::ShapingTransport>(
+        inner, net::ShapingSpec::parse(shapeSpec));
     faulty = std::make_unique<net::FaultInjectingTransport>(
-        inner, net::FaultSpec::parse(faultSpec));
+        *shaped, net::FaultSpec::parse(faultSpec));
     for (std::size_t i = 0; i < kNodes; ++i) {
       services.push_back(std::make_unique<NodeService>(
           static_cast<NodeId>(i), dbs[i], *faulty, 7000 + i, options));
@@ -96,17 +105,15 @@ TEST(ServiceConcurrencySoak, OverlappingQueriesSurviveFaultsAndMatchRerun) {
   ServiceOptions options;
   options.retransmitAfter = 100ms;
   options.captureTraces = true;
-  options.workerThreads = 3;
   options.maxInflightInitiations = 8;
 
-  // Deterministic loss + jitter on several links: dropped announces and
+  // Deterministic loss + latency on several links: dropped announces and
   // tokens must be recovered by retransmission, delays shuffle arrival
   // interleavings across the concurrent queries.
   const std::string faults =
-      "drop:0->1:1,drop:2->3:4,drop:4->5:7,drop:6->0:3,"
-      "delay:1->2:5,delay:5->6:8";
+      "drop:0->1:1,drop:2->3:4,drop:4->5:7,drop:6->0:3";
 
-  SoakCluster soak(faults, options);
+  SoakCluster soak(faults, options, "lat:1->2:5,lat:5->6:8");
 
   std::vector<std::future<TopKVector>> futures;
   futures.reserve(kQueries);
@@ -212,9 +219,9 @@ TEST(ServiceConcurrencySoak, AdmissionQueueFullThrowsOverloadError) {
   options.maxInflightInitiations = 1;
   options.maxQueuedInitiations = 1;
 
-  // A 200 ms delay on every hop out of node 0 keeps the first query in
-  // flight long enough to fill the single queue slot deterministically.
-  SoakCluster soak("delay:0->1:200", options);
+  // A 200 ms latency on the 0->1 link keeps the first query in flight
+  // long enough to fill the single queue slot deterministically.
+  SoakCluster soak("", options, "lat:0->1:200");
 
   auto first = soak.services[0]->initiate(soakDescriptor(0),
                                           ringFrom(0, kNodes));
@@ -252,7 +259,7 @@ TEST(ServiceConcurrencySoak, StopDrainsQueuedAndInflightDeterministically) {
 
   // Slow the initiator's link so the first query is genuinely mid-flight
   // when stop() lands, with the second still in the admission queue.
-  SoakCluster soak("delay:0->1:150", options);
+  SoakCluster soak("", options, "lat:0->1:150");
 
   auto inflight = soak.services[0]->initiate(soakDescriptor(0),
                                              ringFrom(0, kNodes));
@@ -292,12 +299,11 @@ TEST(ServiceConcurrencySoak, GroupedAndFlatQueriesInterleave) {
   Rng rng(909);
   const auto dbs = data::generateFleet(spec, rng);
   net::InProcTransport transport(kWide);
-  ServiceOptions options;
-  options.workerThreads = 3;
   std::vector<std::unique_ptr<NodeService>> services;
   for (std::size_t i = 0; i < kWide; ++i) {
     services.push_back(std::make_unique<NodeService>(
-        static_cast<NodeId>(i), dbs[i], transport, 9900 + i, options));
+        static_cast<NodeId>(i), dbs[i], transport, 9900 + i,
+        ServiceOptions{}));
     services.back()->start();
   }
   const auto truth =
@@ -326,6 +332,101 @@ TEST(ServiceConcurrencySoak, GroupedAndFlatQueriesInterleave) {
 
   for (auto& s : services) s->stop();
   transport.shutdown();
+}
+
+TEST(ServiceConcurrencySoak, GroupedQueriesDropNothingOnAHealthyFleet) {
+  // Each node handles its messages in arrival order, and a coordinator's
+  // phase-1 announce to a delegate leaves before anything that causally
+  // follows it, so on healthy FIFO links no merge announce or merge token
+  // can find its parent unregistered.  Nothing may be dropped.
+  constexpr std::size_t kWide = 9;
+  constexpr std::size_t kGrouped = 240;
+  data::FleetSpec spec;
+  spec.nodes = kWide;
+  spec.rowsPerNode = 10;
+  spec.tableName = "sales";
+  spec.attribute = "revenue";
+  Rng rng(5150);
+  const auto dbs = data::generateFleet(spec, rng);
+  net::InProcTransport transport(kWide);
+  std::vector<std::unique_ptr<NodeService>> services;
+  for (std::size_t i = 0; i < kWide; ++i) {
+    services.push_back(std::make_unique<NodeService>(
+        static_cast<NodeId>(i), dbs[i], transport, 5200 + i,
+        ServiceOptions{}));
+    services.back()->start();
+  }
+  const auto truth =
+      data::trueTopK(data::fleetValues(dbs, "sales", "revenue"), 2);
+  auto& dropped = obs::counter("privtopk.query.dropped_messages",
+                               {{"engine", "service"}});
+  const std::uint64_t droppedBefore = dropped.value();
+
+  // Waves of one query per initiator keep every node coordinating and
+  // delegating for several grouped queries at once.
+  for (std::size_t wave = 0; wave < kGrouped / kWide + 1; ++wave) {
+    std::vector<std::future<TopKVector>> futures;
+    for (std::size_t i = 0; i < kWide; ++i) {
+      QueryDescriptor d;
+      d.queryId = 30'000 + wave * kWide + i;
+      d.type = QueryType::TopK;
+      d.kind = protocol::ProtocolKind::Naive;
+      d.tableName = "sales";
+      d.attribute = "revenue";
+      d.params.k = 2;
+      d.params.rounds = 2;
+      d.groupSize = 3;
+      const NodeId initiator = static_cast<NodeId>(i);
+      futures.push_back(
+          services[initiator]->initiate(d, ringFrom(initiator, kWide)));
+    }
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      ASSERT_EQ(futures[i].wait_for(30s), std::future_status::ready)
+          << "wave " << wave << " query " << i;
+      EXPECT_EQ(futures[i].get(), truth) << "wave " << wave << " query " << i;
+    }
+  }
+  EXPECT_EQ(dropped.value(), droppedBefore);
+
+  for (auto& s : services) s->stop();
+  transport.shutdown();
+}
+
+TEST(ServiceConcurrencySoak, InitiateRacingStopAlwaysSettles) {
+  // stop() lands while another thread keeps initiating.  Each initiate()
+  // either sees the stopped service (ConfigError) or hands back a future
+  // that stop()'s drain, or the ring, settles.
+  ServiceOptions options;
+  options.maxQueuedInitiations = 1 << 16;  // never shed: no OverloadError
+  SoakCluster soak("", options);
+  NodeService& service = *soak.services[0];
+
+  std::atomic<std::size_t> issued{0};
+  std::vector<std::future<TopKVector>> futures;
+  bool sawConfigError = false;
+  std::thread initiator([&] {
+    for (std::size_t q = 0; q < (1u << 15); ++q) {
+      QueryDescriptor d = soakDescriptor(q);
+      d.queryId = 70'000 + q;
+      try {
+        futures.push_back(service.initiate(d, ringFrom(0, kNodes)));
+      } catch (const ConfigError&) {
+        sawConfigError = true;
+        return;
+      }
+      issued.fetch_add(1);
+      std::this_thread::sleep_for(50us);  // leave stop() room to land
+    }
+  });
+  while (issued.load() < 32) std::this_thread::yield();
+  service.stop();
+  initiator.join();
+
+  EXPECT_TRUE(sawConfigError) << "initiate() never observed the stop";
+  for (std::size_t q = 0; q < futures.size(); ++q) {
+    ASSERT_EQ(futures[q].wait_for(5s), std::future_status::ready)
+        << "future " << q << " of " << futures.size() << " never settled";
+  }
 }
 
 }  // namespace

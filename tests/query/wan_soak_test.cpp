@@ -200,22 +200,20 @@ TEST(WanSoak, MixedWorkloadOverShapedLossyFederationMatchesRerun) {
 
   ServiceOptions options;
   options.retransmitAfter = 250ms;
-  options.workerThreads = 3;
   options.maxInflightInitiations = 8;
   options.maxQueuedInitiations = 64;
   options.traceQueries = true;
   options.spanRingCapacity = 1 << 15;
 
-  // Every link gets the geo profile; two links additionally reorder (a
-  // displaced token for a not-yet-announced query must be recovered by
-  // retransmission, not crash the service).  Deterministic loss + fixed
-  // sender-side delays ride on top via the fault decorator.
+  // Every link gets the geo profile; two links instead reorder with a
+  // fixed latency (a displaced token for a not-yet-announced query must
+  // be recovered by retransmission, not crash the service).
+  // Deterministic loss rides on top via the fault decorator.
   const std::string shape = "profile:*:" + profile +
                             ",reorder:1->2:0.03:10,reorder:5->6:0.03:10," +
-                            "seed:71";
+                            "lat:1->2:2,lat:5->6:3,seed:71";
   const std::string faults =
-      "drop:0->1:2,drop:2->3:5,drop:4->5:9,drop:6->7:13,drop:8->0:6,"
-      "delay:1->2:2,delay:5->6:3";
+      "drop:0->1:2,drop:2->3:5,drop:4->5:9,drop:6->7:13,drop:8->0:6";
 
   WanCluster soak(shape, faults, options, /*seedBase=*/8100);
 
@@ -417,9 +415,7 @@ TEST(WanSoak, MixedWorkloadOverShapedLossyFederationMatchesRerun) {
   }
 
   // --- Faultless sequential re-run: the ground truth for agreement. ---
-  ServiceOptions rerunOptions;
-  rerunOptions.workerThreads = 2;
-  WanCluster rerun("", "", rerunOptions, /*seedBase=*/9300);
+  WanCluster rerun("", "", ServiceOptions{}, /*seedBase=*/9300);
   const auto allValues = data::fleetValues(rerun.dbs, "sales", "revenue");
 
   std::map<std::size_t, TopKVector> rerunResults;
