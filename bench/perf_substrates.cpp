@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the substrates: crypto primitives,
-// serialization, and transports.  Quantifies the paper's §4.2 efficiency
-// argument - cryptographic link protection (our substitution) costs orders
-// of magnitude more per byte than the protocol's local computation.
+// serialization, transports and a party's local step.  Quantifies the
+// paper's §4.2 efficiency argument - cryptographic link protection (our
+// substitution) costs orders of magnitude more per byte than the
+// protocol's local computation.
 
 #include <benchmark/benchmark.h>
 
@@ -14,8 +15,10 @@
 #include "crypto/hmac.hpp"
 #include "crypto/secure_channel.hpp"
 #include "crypto/sha256.hpp"
+#include "data/generator.hpp"
 #include "net/inproc.hpp"
 #include "net/message.hpp"
+#include "query/federation.hpp"
 
 using namespace privtopk;
 
@@ -123,6 +126,48 @@ void BM_InProcRoundTrip(benchmark::State& state) {
   state.counters["bytes"] = static_cast<double>(transport.bytesSent());
 }
 BENCHMARK(BM_InProcRoundTrip);
+
+/// One party's 2,000-row table and a query filtered by one `<=` clause
+/// (the federation benchmark's shape: k=16, about half the rows kept).
+struct LocalStep {
+  data::PrivateDatabase db;
+  query::QueryDescriptor descriptor;
+
+  explicit LocalStep(query::QueryType type) {
+    data::FleetSpec spec;
+    spec.nodes = 1;
+    spec.rowsPerNode = 2000;
+    Rng rng(11);
+    db = std::move(data::generateFleet(spec, rng).front());
+    descriptor.type = type;
+    descriptor.tableName = spec.tableName;
+    descriptor.attribute = spec.attribute;
+    descriptor.params.k = 16;
+    descriptor.params.rounds = 4;
+    descriptor.filter = query::Filter(
+        {{spec.attribute, query::FilterOp::Le, Value{5000}}});
+  }
+};
+
+void BM_LocalInput(benchmark::State& state) {
+  const LocalStep step(query::QueryType::TopK);
+  const query::LocalParty party(step.db);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(party.localInput(step.descriptor));
+  }
+  state.counters["rows"] = 2000;
+}
+BENCHMARK(BM_LocalInput);
+
+void BM_LocalAggregate(benchmark::State& state) {
+  const LocalStep step(query::QueryType::Sum);
+  const query::LocalParty party(step.db);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(party.localAggregate(step.descriptor));
+  }
+  state.counters["rows"] = 2000;
+}
+BENCHMARK(BM_LocalAggregate);
 
 }  // namespace
 

@@ -92,11 +92,7 @@ void Table::appendRow(const std::vector<Cell>& row) {
 }
 
 const std::vector<Value>& Table::intColumn(const std::string& name) const {
-  const std::size_t i = schema_.indexOf(name);
-  if (schema_.column(i).type != ColumnType::Int) {
-    throw SchemaError("Table::intColumn: '" + name + "' is not an int column");
-  }
-  return std::get<std::vector<Value>>(columns_[i]);
+  return intColumnAt(schema_.indexOf(name));
 }
 
 const std::vector<double>& Table::realColumn(const std::string& name) const {
@@ -110,12 +106,23 @@ const std::vector<double>& Table::realColumn(const std::string& name) const {
 
 const std::vector<std::string>& Table::textColumn(
     const std::string& name) const {
-  const std::size_t i = schema_.indexOf(name);
-  if (schema_.column(i).type != ColumnType::Text) {
-    throw SchemaError("Table::textColumn: '" + name +
+  return textColumnAt(schema_.indexOf(name));
+}
+
+const std::vector<Value>& Table::intColumnAt(std::size_t index) const {
+  if (schema_.column(index).type != ColumnType::Int) {
+    throw SchemaError("Table::intColumn: '" + schema_.column(index).name +
+                      "' is not an int column");
+  }
+  return std::get<std::vector<Value>>(columns_[index]);
+}
+
+const std::vector<std::string>& Table::textColumnAt(std::size_t index) const {
+  if (schema_.column(index).type != ColumnType::Text) {
+    throw SchemaError("Table::textColumn: '" + schema_.column(index).name +
                       "' is not a text column");
   }
-  return std::get<std::vector<std::string>>(columns_[i]);
+  return std::get<std::vector<std::string>>(columns_[index]);
 }
 
 Cell Table::at(std::size_t row, std::size_t col) const {

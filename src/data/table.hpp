@@ -73,6 +73,12 @@ class Table {
   [[nodiscard]] const std::vector<std::string>& textColumn(
       const std::string& name) const;
 
+  /// Typed column access by schema position (see Schema::indexOf), with no
+  /// name lookup; throws SchemaError on a type mismatch.
+  [[nodiscard]] const std::vector<Value>& intColumnAt(std::size_t index) const;
+  [[nodiscard]] const std::vector<std::string>& textColumnAt(
+      std::size_t index) const;
+
   /// Cell access by (row, column index).
   [[nodiscard]] Cell at(std::size_t row, std::size_t col) const;
 

@@ -744,7 +744,9 @@ void TcpTransport::readLink(OutLink* link) {
       // tolerate and discard instead of tearing the link down.
       return true;
     });
-    if (!open) failLink(link, "peer closed the connection");
+    if (!open) {
+      failLink(link, "peer closed the connection", /*peerClosed=*/true);
+    }
   } catch (const Error& e) {
     failLink(link, e.what());
   }
@@ -863,7 +865,8 @@ void TcpTransport::setWantWrite(OutLink* link, bool want) {
                   EPOLLIN | (want ? static_cast<std::uint32_t>(EPOLLOUT) : 0));
 }
 
-void TcpTransport::failLink(OutLink* link, const std::string& reason) {
+void TcpTransport::failLink(OutLink* link, const std::string& reason,
+                            bool peerClosed) {
   if (link->deadlineTimer != 0) {
     reactor_.cancel(link->deadlineTimer);
     link->deadlineTimer = 0;
@@ -874,6 +877,7 @@ void TcpTransport::failLink(OutLink* link, const std::string& reason) {
   }
   bool wasEstablished = false;
   std::size_t droppedQueued = 0;
+  std::size_t droppedInflight = 0;
   {
     // The fd close happens UNDER the link mutex: an inline send() holding
     // the mutex finishes its sendmsg before the fd can be closed (and
@@ -890,6 +894,8 @@ void TcpTransport::failLink(OutLink* link, const std::string& reason) {
     link->wantWrite = false;
     link->handshake.reset();
     link->session.reset();
+    droppedInflight = link->inflight.size() - link->inflightIdx +
+                      (link->inlinePending ? 1 : 0);
     link->inflight.clear();
     link->inflightIdx = 0;
     link->inflightOff = 0;
@@ -914,13 +920,17 @@ void TcpTransport::failLink(OutLink* link, const std::string& reason) {
     linksEvicted_.fetch_add(1);
     metricLinksEvicted_.inc();
   }
-  if (!shutdown_.load()) {
-    PRIVTOPK_LOG_WARN("tcp link to ", link->peer, " failed: ", reason,
-                      droppedQueued > 0
-                          ? " (dropped " + std::to_string(droppedQueued) +
-                                " queued frames)"
-                          : "");
+  if (shutdown_.load()) return;
+  if (peerClosed && droppedQueued == 0 && droppedInflight == 0) {
+    PRIVTOPK_LOG_INFO("tcp link to ", link->peer, " closed by the peer");
+    return;
   }
+  PRIVTOPK_LOG_WARN("tcp link to ", link->peer, " failed: ", reason,
+                    droppedQueued + droppedInflight > 0
+                        ? " (dropped " + std::to_string(droppedQueued) +
+                              " queued, " + std::to_string(droppedInflight) +
+                              " in-flight frames)"
+                        : "");
 }
 
 // ---------------------------------------------------------------------------

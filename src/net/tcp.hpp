@@ -245,7 +245,12 @@ class TcpTransport final : public Transport {
   void readLink(OutLink* link);
   void drainLink(OutLink* link);
   void setWantWrite(OutLink* link, bool want);
-  void failLink(OutLink* link, const std::string& reason);
+  /// Tears the link down and records `reason` for the next send.  A peer
+  /// that closed the connection with nothing of ours queued or in flight
+  /// (`peerClosed`) is an orderly end, logged at INFO; anything that drops
+  /// frames or is a socket error is logged at WARN.
+  void failLink(OutLink* link, const std::string& reason,
+                bool peerClosed = false);
   void deliver(NodeId from, Bytes&& payload);
 
   NodeId self_;

@@ -50,13 +50,13 @@ std::vector<NodeId> remapRing(std::vector<NodeId> order, NodeId controller,
   return order;
 }
 
-TopKVector localTopK(const std::vector<Value>& values, std::size_t k) {
-  TopKVector v = values;
-  const std::size_t take = std::min(k, v.size());
-  std::partial_sort(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(take),
-                    v.end(), std::greater<>());
-  v.resize(take);
-  return v;
+TopKVector localTopK(std::vector<Value> values, std::size_t k) {
+  const std::size_t take = std::min(k, values.size());
+  std::partial_sort(values.begin(),
+                    values.begin() + static_cast<std::ptrdiff_t>(take),
+                    values.end(), std::greater<>());
+  values.resize(take);
+  return values;
 }
 
 std::unique_ptr<LocalAlgorithm> makeLocalAlgorithm(ProtocolKind kind,

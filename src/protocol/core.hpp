@@ -96,9 +96,9 @@ RepairOutcome repairRing(std::vector<NodeId>& order, NodeId failed);
 // Local initialization (§3.4).
 // ---------------------------------------------------------------------------
 
-/// Sort descending and keep the k largest values.
-[[nodiscard]] TopKVector localTopK(const std::vector<Value>& values,
-                                   std::size_t k);
+/// Sort descending and keep the k largest values.  Takes `values` by
+/// value: a caller that moves its vector in pays no copy.
+[[nodiscard]] TopKVector localTopK(std::vector<Value> values, std::size_t k);
 
 /// Stream-separation tag used when forking a node's algorithm Rng out of a
 /// shared engine Rng (see makeLocalAlgorithm).

@@ -1,6 +1,6 @@
 #include "query/federation.hpp"
 
-#include <algorithm>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "protocol/core.hpp"
@@ -30,27 +30,28 @@ void LocalParty::validateSchema(const QueryDescriptor& descriptor) const {
 
 TopKVector LocalParty::localInput(const QueryDescriptor& descriptor) const {
   validateSchema(descriptor);
-  const std::size_t k = descriptor.effectiveK();
+  const data::Table& table = db_->table(descriptor.tableName);
+  std::vector<Value> values =
+      descriptor.filter.select(table, table.intColumn(descriptor.attribute));
+  const bool bottom = descriptor.isBottom();
+  // ~v reverses the order of every int64 without overflow, so the top-k of
+  // the complemented values is the complemented bottom-k.
+  if (bottom) {
+    for (Value& v : values) v = ~v;
+  }
+  TopKVector input =
+      protocol::core::localTopK(std::move(values), descriptor.effectiveK());
   const Domain& domain = descriptor.params.domain;
-
-  const data::RowPredicate predicate = descriptor.filter.predicate();
-  TopKVector values =
-      descriptor.isBottom()
-          ? db_->localBottomK(descriptor.tableName, descriptor.attribute, k,
-                              predicate)
-          : db_->localTopK(descriptor.tableName, descriptor.attribute, k,
-                           predicate);
-  for (Value v : values) {
+  for (Value& v : input) {
+    if (bottom) v = ~v;
     if (!domain.contains(v)) {
       throw ConfigError("LocalParty: value outside the public domain");
     }
+    // Mirror into max-space (the protocol always maximizes): the ascending
+    // bottom-k becomes a descending vector.
+    if (bottom) v = mirror(domain, v);
   }
-  if (descriptor.isBottom()) {
-    // Mirror into max-space; localBottomK is ascending, so the mirrored
-    // vector is descending, as the protocol expects.
-    for (Value& v : values) v = mirror(domain, v);
-  }
-  return values;
+  return input;
 }
 
 std::vector<std::int64_t> LocalParty::localAggregate(
@@ -60,15 +61,11 @@ std::vector<std::int64_t> LocalParty::localAggregate(
     throw ConfigError("LocalParty::localAggregate: not an aggregate query");
   }
   const data::Table& table = db_->table(descriptor.tableName);
-  const auto& column = table.intColumn(descriptor.attribute);
-  const data::RowPredicate predicate = descriptor.filter.predicate();
-  std::int64_t sum = 0;
-  std::int64_t rows = 0;
-  for (std::size_t row = 0; row < column.size(); ++row) {
-    if (predicate && !predicate(table, row)) continue;
-    sum += column[row];
-    ++rows;
-  }
+  const std::vector<Value> selected =
+      descriptor.filter.select(table, table.intColumn(descriptor.attribute));
+  const std::int64_t sum =
+      std::accumulate(selected.begin(), selected.end(), std::int64_t{0});
+  const auto rows = static_cast<std::int64_t>(selected.size());
   switch (descriptor.type) {
     case QueryType::Sum: return {sum};
     case QueryType::Count: return {rows};
@@ -77,14 +74,17 @@ std::vector<std::int64_t> LocalParty::localAggregate(
   }
 }
 
+TopKVector mirrored(const Domain& domain, TopKVector values) {
+  for (Value& v : values) v = mirror(domain, v);
+  return values;
+}
+
 TopKVector presentResult(const QueryDescriptor& descriptor,
                          TopKVector protocolResult) {
   if (!descriptor.isBottom()) return protocolResult;
-  const Domain& domain = descriptor.params.domain;
-  for (Value& v : protocolResult) v = mirror(domain, v);
   // Descending mirrored values become ascending originals - already the
   // natural order for bottom-k.
-  return protocolResult;
+  return mirrored(descriptor.params.domain, std::move(protocolResult));
 }
 
 Federation::Federation(const std::vector<data::PrivateDatabase>& parties)

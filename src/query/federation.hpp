@@ -41,18 +41,25 @@ class LocalParty {
 
   /// Extracts the protocol input: local top-k for top queries, MIRRORED
   /// local bottom-k for bottom queries (the protocol always maximizes).
-  /// Values are clamped-checked against the public domain.  Not valid for
-  /// aggregate queries (use localAggregate()).
+  /// The filter is compiled once against the table and evaluated a column
+  /// at a time (Filter::select); protocol::core::localTopK takes the k.
+  /// The extracted values are checked against the public domain.  Not
+  /// valid for aggregate queries (use localAggregate()).
   [[nodiscard]] TopKVector localInput(const QueryDescriptor& descriptor) const;
 
-  /// Per-party addends for aggregate queries: {sum} for Sum, {rows} for
-  /// Count, {sum, rows} for Average.
+  /// Per-party addends for aggregate queries, summed over the same
+  /// column-at-a-time selection: {sum} for Sum, {rows} for Count,
+  /// {sum, rows} for Average.
   [[nodiscard]] std::vector<std::int64_t> localAggregate(
       const QueryDescriptor& descriptor) const;
 
  private:
   const data::PrivateDatabase* db_;
 };
+
+/// Maps every value v to domain.min + domain.max - v: order-reversing,
+/// and its own inverse on the domain.
+[[nodiscard]] TopKVector mirrored(const Domain& domain, TopKVector values);
 
 /// Mirrors a protocol result back into the query's natural order; for top
 /// queries this is the identity.

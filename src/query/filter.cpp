@@ -1,6 +1,9 @@
 #include "query/filter.hpp"
 
 #include <charconv>
+#include <limits>
+#include <memory>
+#include <utility>
 
 #include "common/args.hpp"
 #include "common/error.hpp"
@@ -21,38 +24,56 @@ const char* toString(FilterOp op) {
 
 namespace {
 
-template <typename T>
-bool applyOp(FilterOp op, const T& lhs, const T& rhs) {
-  switch (op) {
-    case FilterOp::Eq: return lhs == rhs;
-    case FilterOp::Ne: return lhs != rhs;
-    case FilterOp::Lt: return lhs < rhs;
-    case FilterOp::Le: return lhs <= rhs;
-    case FilterOp::Gt: return lhs > rhs;
-    case FilterOp::Ge: return lhs >= rhs;
+/// One clause compiled against a table's schema.
+struct Compiled {
+  enum class Test : std::uint8_t { IntRange, IntNe, TextEq, TextNe };
+  Test test = Test::IntRange;
+  std::size_t column = 0;  ///< schema position of the clause's column
+  /// IntRange: the inclusive range [lo, hi], empty when lo > hi.  IntNe:
+  /// `lo` is the excluded value.
+  Value lo = 0;
+  Value hi = 0;
+  const std::string* text = nullptr;  ///< TextEq/TextNe literal
+
+  [[nodiscard]] bool isInt() const {
+    return test == Test::IntRange || test == Test::IntNe;
   }
-  return false;
-}
+  [[nodiscard]] bool accepts(Value cell) const {
+    return test == Test::IntRange ? (cell >= lo) & (cell <= hi) : cell != lo;
+  }
+  [[nodiscard]] bool accepts(const std::string& cell) const {
+    return (cell == *text) == (test == Test::TextEq);
+  }
+  [[nodiscard]] bool acceptsRow(const data::Table& table,
+                                std::size_t row) const {
+    return isInt() ? accepts(table.intColumnAt(column)[row])
+                   : accepts(table.textColumnAt(column)[row]);
+  }
+};
 
-}  // namespace
+constexpr Value kMinValue = std::numeric_limits<Value>::min();
+constexpr Value kMaxValue = std::numeric_limits<Value>::max();
 
-Filter::Filter(std::vector<FilterClause> clauses)
-    : clauses_(std::move(clauses)) {}
-
-void Filter::validateAgainst(const data::Schema& schema) const {
-  for (const auto& clause : clauses_) {
-    const std::size_t idx = schema.indexOf(clause.column);  // throws if absent
-    const data::ColumnType type = schema.column(idx).type;
-    const bool intLiteral = std::holds_alternative<Value>(clause.literal);
-    switch (type) {
+/// Resolves every clause against `schema`, throwing as validateAgainst()
+/// documents for a clause the schema cannot serve.  The compiled text
+/// clauses point into `clauses`, which must outlive the result.
+std::vector<Compiled> compile(const std::vector<FilterClause>& clauses,
+                              const data::Schema& schema) {
+  std::vector<Compiled> compiled;
+  compiled.reserve(clauses.size());
+  for (const FilterClause& clause : clauses) {
+    Compiled c;
+    c.column = schema.indexOf(clause.column);  // throws if absent
+    const auto* text = std::get_if<std::string>(&clause.literal);
+    switch (schema.column(c.column).type) {
       case data::ColumnType::Int:
-        if (!intLiteral) {
+        if (text != nullptr) {
           throw ConfigError("Filter: column '" + clause.column +
                             "' is int but the literal is text");
         }
         break;
       case data::ColumnType::Text:
-        if (intLiteral) {
+        if (text == nullptr) {
           throw ConfigError("Filter: column '" + clause.column +
                             "' is text but the literal is int");
         }
@@ -65,23 +86,105 @@ void Filter::validateAgainst(const data::Schema& schema) const {
         throw ConfigError("Filter: real columns are not filterable "
                           "(column '" + clause.column + "')");
     }
+    if (text != nullptr) {
+      c.test = clause.op == FilterOp::Eq ? Compiled::Test::TextEq
+                                         : Compiled::Test::TextNe;
+      c.text = text;
+      compiled.push_back(c);
+      continue;
+    }
+    const Value v = std::get<Value>(clause.literal);
+    c.lo = kMinValue;
+    c.hi = kMaxValue;
+    // Nothing lies below INT64_MIN or above INT64_MAX, so `< INT64_MIN` and
+    // `> INT64_MAX` compile to the empty range [INT64_MAX, INT64_MIN].
+    switch (clause.op) {
+      case FilterOp::Eq: c.lo = c.hi = v; break;
+      case FilterOp::Ne:
+        c.test = Compiled::Test::IntNe;
+        c.lo = v;
+        break;
+      case FilterOp::Lt:
+        if (v == kMinValue) std::swap(c.lo, c.hi);
+        else c.hi = v - 1;
+        break;
+      case FilterOp::Le: c.hi = v; break;
+      case FilterOp::Gt:
+        if (v == kMaxValue) std::swap(c.lo, c.hi);
+        else c.lo = v + 1;
+        break;
+      case FilterOp::Ge: c.lo = v; break;
+    }
+    compiled.push_back(c);
   }
+  return compiled;
+}
+
+}  // namespace
+
+Filter::Filter(std::vector<FilterClause> clauses)
+    : clauses_(std::move(clauses)) {}
+
+void Filter::validateAgainst(const data::Schema& schema) const {
+  (void)compile(clauses_, schema);
+}
+
+std::vector<Value> Filter::select(const data::Table& table,
+                                 const std::vector<Value>& column) const {
+  if (column.size() != table.rowCount()) {
+    throw SchemaError("Filter::select: the column is not one of the table's");
+  }
+  if (clauses_.empty()) return column;
+  const std::vector<Compiled> compiled = compile(clauses_, table.schema());
+  const std::size_t rows = column.size();
+  // Store every value, advance past the kept ones: no branch per row.
+  std::vector<Value> selected(rows);
+  std::size_t kept = 0;
+  if (compiled.size() == 1 && compiled[0].test == Compiled::Test::IntRange) {
+    const Compiled& range = compiled[0];
+    const Value* cells = table.intColumnAt(range.column).data();
+    for (std::size_t row = 0; row < rows; ++row) {
+      selected[kept] = column[row];
+      kept += range.accepts(cells[row]);
+    }
+  } else {
+    std::vector<std::uint8_t> keep(rows, 1);
+    for (const Compiled& c : compiled) {
+      if (c.isInt()) {
+        const std::vector<Value>& cells = table.intColumnAt(c.column);
+        for (std::size_t row = 0; row < rows; ++row) {
+          keep[row] &= static_cast<std::uint8_t>(c.accepts(cells[row]));
+        }
+      } else {
+        const std::vector<std::string>& cells = table.textColumnAt(c.column);
+        for (std::size_t row = 0; row < rows; ++row) {
+          keep[row] &= static_cast<std::uint8_t>(c.accepts(cells[row]));
+        }
+      }
+    }
+    for (std::size_t row = 0; row < rows; ++row) {
+      selected[kept] = column[row];
+      kept += keep[row];
+    }
+  }
+  selected.resize(kept);
+  return selected;
 }
 
 data::RowPredicate Filter::predicate() const {
   if (clauses_.empty()) return {};
-  // Copy the clauses into the closure; tables are consulted per row.
-  const std::vector<FilterClause> clauses = clauses_;
-  return [clauses](const data::Table& table, std::size_t row) {
-    for (const auto& clause : clauses) {
-      if (const auto* value = std::get_if<Value>(&clause.literal)) {
-        const Value cell = table.intColumn(clause.column)[row];
-        if (!applyOp(clause.op, cell, *value)) return false;
-      } else {
-        const std::string& want = std::get<std::string>(clause.literal);
-        const std::string& cell = table.textColumn(clause.column)[row];
-        if (!applyOp(clause.op, cell, want)) return false;
-      }
+  // Every copy of the predicate shares the immutable clauses its compiled
+  // text literals point into, and keeps its own compilation cache.
+  auto clauses = std::make_shared<const std::vector<FilterClause>>(clauses_);
+  return [clauses, compiledFor = static_cast<const data::Table*>(nullptr),
+          compiled = std::vector<Compiled>()](const data::Table& table,
+                                              std::size_t row) mutable {
+    if (&table != compiledFor) {
+      compiled = compile(*clauses, table.schema());
+      compiledFor = &table;
+    }
+    for (const Compiled& c : compiled) {
+      if (!c.acceptsRow(table, row)) return false;
     }
     return true;
   };

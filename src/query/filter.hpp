@@ -7,6 +7,11 @@
 // serialized inside the query descriptor so all parties apply the same
 // selection, and evaluated locally so no filtered-out row ever leaves a
 // database.
+//
+// Evaluation is compiled once per table: each clause's column is resolved
+// to its schema position once, and every int clause but != becomes an
+// inclusive [lo, hi] range.  select() then evaluates the filter a column at
+// a time, with no per-row name lookup or indirect call.
 
 #pragma once
 
@@ -59,7 +64,18 @@ class Filter {
   /// Eq/Ne.  Throws SchemaError/ConfigError.
   void validateAgainst(const data::Schema& schema) const;
 
-  /// Builds the row predicate for a concrete table.
+  /// The values of `column` in the rows every clause accepts, in row
+  /// order.  `column` is any int column of `table` (the filtered column
+  /// need not be one the clauses name).  The filter is compiled against
+  /// `table` once per call, throwing as validateAgainst() does.
+  [[nodiscard]] std::vector<Value> select(
+      const data::Table& table, const std::vector<Value>& column) const;
+
+  /// The same selection as a per-row predicate (empty for the empty
+  /// filter): the reference form tests and oracles compare select()
+  /// against.  It compiles against the last table object it was called
+  /// with, so one predicate object serves one thread at a time; copies
+  /// are independent.
   [[nodiscard]] data::RowPredicate predicate() const;
 
   /// Serialization (embedded in QueryDescriptor's encoding).

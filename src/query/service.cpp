@@ -1131,13 +1131,13 @@ void NodeService::onResult(const net::ResultAnnouncement& result,
 
 bool NodeService::replayCompletedResult(std::uint64_t queryId, NodeId from,
                                         std::vector<Outbound>& out) {
-  const auto it = completedReplay_.find(queryId);
-  if (it == completedReplay_.end()) return false;
-  const CompletedReplay& replay = it->second;
+  const auto it = completed_.find(queryId);
+  if (it == completed_.end()) return false;
+  const Retained& retained = it->second;
   // The result was only ever disseminated around the query's ring; a
   // token from outside it is hostile or confused, not a stranded peer.
-  if (std::find(replay.ring.begin(), replay.ring.end(), from) ==
-      replay.ring.end()) {
+  if (std::find(retained.ring.begin(), retained.ring.end(), from) ==
+      retained.ring.end()) {
     return false;
   }
   metrics_.resultReplays.inc();
@@ -1145,9 +1145,13 @@ bool NodeService::replayCompletedResult(std::uint64_t queryId, NodeId from,
                     queryId, " to stranded ring member ", from);
   // Replays carry no trace context: the trace chain of the retired query
   // ended at its completion, and a fabricated parent would dangle.
+  TopKVector raw = retained.mirroredIn
+                       ? mirrored(*retained.mirroredIn, retained.result)
+                       : retained.result;
   out.push_back(Outbound{
       queryId,
-      net::encodeMessage(net::ResultAnnouncement{queryId, replay.raw, {}}),
+      net::encodeMessage(
+          net::ResultAnnouncement{queryId, std::move(raw), {}}),
       from, true});
   return true;
 }
@@ -1365,19 +1369,16 @@ void NodeService::applyCompletion(Completion completion,
     state.promiseSettled = true;
     state.promise.set_value(presented);
   }
+  Retained retained{std::move(presented), ringOf(state), std::nullopt,
+                    std::move(state.trace)};
+  if (state.descriptor.isBottom()) {
+    retained.mirroredIn = state.descriptor.params.domain;
+  }
   const bool inserted =
-      completed_.insert_or_assign(completion.queryId, std::move(presented))
+      completed_.insert_or_assign(completion.queryId, std::move(retained))
           .second;
   if (inserted) completedOrder_.push_back(completion.queryId);
-  completedReplay_.insert_or_assign(
-      completion.queryId, CompletedReplay{completion.raw, ringOf(state)});
-  if (state.trace != nullptr) {
-    completedTraces_.insert_or_assign(completion.queryId,
-                                      std::move(*state.trace));
-  }
   while (completed_.size() > options_.completedCap) {
-    completedTraces_.erase(completedOrder_.front());
-    completedReplay_.erase(completedOrder_.front());
     completed_.erase(completedOrder_.front());
     completedOrder_.pop_front();
   }
@@ -1409,7 +1410,7 @@ std::optional<TopKVector> NodeService::resultOf(std::uint64_t queryId) const {
   std::scoped_lock lock(mutex_);
   const auto it = completed_.find(queryId);
   if (it == completed_.end()) return std::nullopt;
-  return it->second;
+  return it->second.result;
 }
 
 std::optional<TopKVector> NodeService::waitFor(
@@ -1419,15 +1420,17 @@ std::optional<TopKVector> NodeService::waitFor(
     return completed_.contains(queryId);
   });
   if (!done) return std::nullopt;
-  return completed_.at(queryId);
+  return completed_.at(queryId).result;
 }
 
 std::optional<protocol::ExecutionTrace> NodeService::traceOf(
     std::uint64_t queryId) const {
   std::scoped_lock lock(mutex_);
-  const auto it = completedTraces_.find(queryId);
-  if (it == completedTraces_.end()) return std::nullopt;
-  return it->second;
+  const auto it = completed_.find(queryId);
+  if (it == completed_.end() || it->second.trace == nullptr) {
+    return std::nullopt;
+  }
+  return *it->second.trace;
 }
 
 std::size_t NodeService::activeQueries() const {
@@ -1517,7 +1520,7 @@ std::string NodeService::queriesJson() const {
     os << "{\"query_id\":" << queryId;
     const auto it = completed_.find(queryId);
     if (it != completed_.end()) {
-      os << ",\"result_size\":" << it->second.size();
+      os << ",\"result_size\":" << it->second.result.size();
     }
     os << '}';
   }

@@ -331,13 +331,19 @@ class NodeService {
     TopKVector raw;  ///< protocol-space result (pre-presentation)
   };
 
-  /// What a retired query leaves behind for recovery: its raw
-  /// (protocol-space) result and the ring it ran on, so a ring member
-  /// whose ResultAnnouncement hop was lost can be answered when its
-  /// retransmission arrives here (see replayCompletedResult).
-  struct CompletedReplay {
-    TopKVector raw;
+  /// What a retired query leaves behind: its presented result (resultOf,
+  /// waitFor), its trace when captured (traceOf), and for recovery the
+  /// ring it ran on, so a ring member whose ResultAnnouncement hop was
+  /// lost can be answered when its retransmission arrives here (see
+  /// replayCompletedResult).
+  struct Retained {
+    TopKVector result;
     std::vector<NodeId> ring;
+    /// Set for bottom queries: the domain `result` was mirrored through.
+    /// Mirroring is its own inverse, so the protocol-space result a
+    /// replay carries is derived, not stored.
+    std::optional<Domain> mirroredIn;
+    std::unique_ptr<protocol::ExecutionTrace> trace;
   };
 
   void receiveLoop();
@@ -506,11 +512,7 @@ class NodeService {
   mutable std::mutex mutex_;
   mutable std::condition_variable completedCv_;
   std::map<std::uint64_t, QueryState> active_;
-  std::map<std::uint64_t, TopKVector> completed_;
-  /// Replay state for retired queries (evicted in lockstep with
-  /// completed_).
-  std::map<std::uint64_t, CompletedReplay> completedReplay_;
-  std::map<std::uint64_t, protocol::ExecutionTrace> completedTraces_;
+  std::map<std::uint64_t, Retained> completed_;
   // Insertion order of completed_ entries, oldest first (LRU eviction).
   std::deque<std::uint64_t> completedOrder_;
   /// merge query id -> parent query id, for stashing merge traffic that

@@ -19,9 +19,11 @@
 #include <cerrno>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/logging.hpp"
 #include "net/socket_util.hpp"
 #include "net/tcp.hpp"
 #include "obs/metrics.hpp"
@@ -88,6 +90,65 @@ void rawWriteFrame(int fd, const Bytes& body) {
   }
   writeAll(fd, header, 4);
   if (!body.empty()) writeAll(fd, body.data(), body.size());
+}
+
+// ---------------------------------------------------------------------------
+// Orderly close: a peer that shuts down with nothing of ours queued or in
+// flight is logged at INFO, not as a link fault.  The link is still
+// evicted, so the next send surfaces the failure and the one after redials.
+// ---------------------------------------------------------------------------
+
+/// Captures log lines at INFO and above; restores the logger on exit.
+class LogCapture {
+ public:
+  LogCapture() : level_(logLevel()) {
+    setLogLevel(LogLevel::Info);
+    setLogSink(&lines_);
+  }
+  ~LogCapture() {
+    setLogSink(nullptr);
+    setLogLevel(level_);
+  }
+  LogCapture(const LogCapture&) = delete;
+  LogCapture& operator=(const LogCapture&) = delete;
+
+  [[nodiscard]] std::string text() const { return lines_.str(); }
+
+ private:
+  LogLevel level_;
+  std::ostringstream lines_;
+};
+
+TEST(TcpReactor, OrderlyPeerCloseIsNotALinkFault) {
+  const auto ports = reservePorts(2);
+  const std::vector<TcpPeer> peers = {{0, "127.0.0.1", ports[0]},
+                                      {1, "127.0.0.1", ports[1]}};
+  LogCapture log;
+  TcpTransport a(0, peers);
+  auto b = std::make_unique<TcpTransport>(1, peers);
+  a.send(0, 1, bytesOf("before"));
+  ASSERT_TRUE(b->receive(1, 2000ms).has_value());
+
+  b->shutdown();
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (a.linksEvicted() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(5ms);
+  }
+  ASSERT_EQ(a.linksEvicted(), 1u);
+  const std::string text = log.text();
+  EXPECT_EQ(text.find("[WARN"), std::string::npos) << text;
+  EXPECT_NE(text.find("tcp link to 1 closed by the peer"), std::string::npos)
+      << text;
+
+  EXPECT_THROW(a.send(0, 1, bytesOf("lost")), TransportError);
+  TcpTransport b2(1, peers);
+  a.send(0, 1, bytesOf("after"));
+  const auto got = b2.receive(1, 2000ms);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->payload, bytesOf("after"));
+
+  a.shutdown();
+  b2.shutdown();
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -211,6 +212,45 @@ TEST(ServiceConcurrencySoak, DroppedResultAnnouncementRepliesFromCompleted) {
       std::this_thread::sleep_for(20ms);
     }
     EXPECT_EQ(service->activeQueries(), 0u);
+  }
+}
+
+TEST(ServiceConcurrencySoak, DroppedBottomKAnnouncementReplaysTheMirroredResult) {
+  ServiceOptions options;
+  options.retransmitAfter = 100ms;
+
+  // The bottom-k twin of the test above: the protocol runs on mirrored
+  // values, and a retired node keeps only the presented (unmirrored)
+  // result, so every replay must mirror it back into protocol space.
+  SoakCluster soak("drop:1->2:3", options);
+  QueryDescriptor d = soakDescriptor(0);
+  d.type = QueryType::BottomK;
+
+  auto future = soak.services[0]->initiate(d, ringFrom(0, kNodes));
+  ASSERT_EQ(future.wait_for(10s), std::future_status::ready);
+  std::vector<Value> all;
+  for (const auto& values : data::fleetValues(soak.dbs, "sales", "revenue")) {
+    all.insert(all.end(), values.begin(), values.end());
+  }
+  std::sort(all.begin(), all.end());
+  const TopKVector bottom(all.begin(), all.begin() + 3);
+  EXPECT_EQ(future.get(), bottom);
+
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (soak.faulty->dropsInjected() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(5ms);
+  }
+  EXPECT_EQ(soak.faulty->dropsInjected(), 1u);
+
+  // Every follower, the stranded ones included, presents the true bottom-k.
+  for (std::size_t node = 1; node < kNodes; ++node) {
+    const auto presented = soak.services[node]->waitFor(
+        d.queryId,
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            deadline - std::chrono::steady_clock::now()));
+    ASSERT_TRUE(presented.has_value()) << "node " << node;
+    EXPECT_EQ(*presented, bottom) << "node " << node;
   }
 }
 
